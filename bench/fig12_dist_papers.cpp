@@ -19,10 +19,9 @@ int main() {
   return 0;
 }
 #else
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   // --json: emit ONLY machine-readable rows for the scaling sweep (one per
   // partition count x engine, including the per-rank footprint) — the
@@ -209,5 +208,7 @@ int main(int argc, char** argv) {
       "per-rank memory SHRINKS as partitions are added (owned rows + halo,\n"
       "not a whole-graph replica).\n");
   return 0;
+} catch (const check_error& e) {
+  return report_fatal_error("fig12", e);
 }
 #endif  // RIPPLE_HAS_DIST

@@ -17,10 +17,9 @@ int main() {
   return 0;
 }
 #else
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const double scale = flags.get_double("scale", quick ? 0.04 : 0.30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
@@ -123,5 +122,7 @@ int main(int argc, char** argv) {
       "partitions are modest for a graph this size (~190 up/s at 8 parts vs\n"
       "~110 at 2 at full scale) — if it fits one machine, keep it there.\n");
   return 0;
+} catch (const check_error& e) {
+  return report_fatal_error("fig13", e);
 }
 #endif  // RIPPLE_HAS_DIST

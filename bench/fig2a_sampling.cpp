@@ -16,7 +16,6 @@ using namespace ripple;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const auto n = static_cast<std::size_t>(
       flags.get_int("vertices", quick ? 600 : 3000));

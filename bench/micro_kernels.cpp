@@ -15,17 +15,9 @@
 // between cases, so one run on an AVX2 host yields the scalar-vs-SIMD
 // speedup table quoted in docs/kernels.md. Output bits are identical
 // across the axis (the kernels.h determinism contract); only the time
-// changes.
+// changes. Packed-B rows also report the panel bytes per logical row.
 //
-// The packed-B cases additionally carry the weight-storage precision axis
-// (--precision=f32|bf16|int8, tensor/precision.h): panels are packed at the
-// flagged precision and the JSON row gains "precision" plus the packed
-// panel bytes per logical row, so one sweep yields the f32-vs-bf16-vs-int8
-// footprint/throughput table in docs/precision.md. Unpacked cases always
-// run f32 (only packed panels have a storage precision).
-//
-// Flags: --dims=64,128,256 --min-time-ms=200 --precision=f32|bf16|int8
-//        --quick --seed=42
+// Flags: --dims=64,128,256 --min-time-ms=200 --quick --seed=42
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -45,8 +37,6 @@ using namespace ripple;
 namespace {
 
 double g_min_time_sec = 0.2;
-// --precision, stamped on packed-B JSON rows (set once in main).
-const char* g_precision = "f32";
 
 // Runs fn in growing batches until g_min_time_sec of wall time accumulates;
 // returns seconds per iteration.
@@ -74,13 +64,9 @@ void emit(const std::string& op, std::size_t dim, const char* kernel_isa,
               "\"kernels\":\"%s\",",
               op.c_str(), dim, kernel_isa);
   if (packed >= 0) std::printf("\"packed\":%s,", packed ? "true" : "false");
-  if (packed == 1) {
-    std::printf("\"precision\":\"%s\",", g_precision);
-    if (dim > 0) {
-      std::printf("\"packed_bytes_per_row\":%.6g,",
-                  static_cast<double>(packed_bytes) /
-                      static_cast<double>(dim));
-    }
+  if (packed == 1 && dim > 0) {
+    std::printf("\"packed_bytes_per_row\":%.6g,",
+                static_cast<double>(packed_bytes) / static_cast<double>(dim));
   }
   std::printf("\"ns_per_op\":%.6g", sec_per_op * 1e9);
   if (flops_per_op > 0) {
@@ -116,7 +102,7 @@ void bench_gemm(const std::vector<std::int64_t>& dims) {
     Rng rng(1);
     const auto a = Matrix::random_uniform(dim, dim, rng);
     const auto b = Matrix::random_uniform(dim, dim, rng);
-    const auto pb = PackedMatrix::pack(b, active_precision());
+    const auto pb = PackedMatrix::pack(b);
     Matrix c;
     const double flops = 2.0 * static_cast<double>(dim) * dim * dim;
     for (const auto& variant : kernel_variants()) {
@@ -134,7 +120,7 @@ void bench_gemv_row(const std::vector<std::int64_t>& dims) {
     const auto dim = static_cast<std::size_t>(dim64);
     Rng rng(2);
     const auto w = Matrix::random_uniform(dim, dim, rng);
-    const auto pw = PackedMatrix::pack(w, active_precision());
+    const auto pw = PackedMatrix::pack(w);
     std::vector<float> x(dim, 0.5f);
     std::vector<float> y(dim);
     const double flops = 2.0 * static_cast<double>(dim) * dim;
@@ -237,7 +223,6 @@ void bench_single_update() {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  g_precision = apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   g_min_time_sec =
       flags.get_double("min-time-ms", quick ? 30.0 : 200.0) * 1e-3;
@@ -248,8 +233,8 @@ int main(int argc, char** argv) {
   set_log_level(log_level::warn);
 
   set_kernel_mode(KernelMode::kAuto);
-  std::fprintf(stderr, "micro_kernels: dispatched tier=%s precision=%s\n",
-               kernel_isa_name(active_kernel_isa()), g_precision);
+  std::fprintf(stderr, "micro_kernels: dispatched tier=%s\n",
+               kernel_isa_name(active_kernel_isa()));
 
   bench_gemm(dims);
   bench_gemv_row(dims);

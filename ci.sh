@@ -84,17 +84,10 @@ cmake -B build-scalar -S . -DRIPPLE_KERNELS=scalar \
 cmake --build build-scalar -j "$(nproc)"
 ctest --test-dir build-scalar -L unit --output-on-failure -j "$(nproc)"
 
-# Reduced-precision sweep: the precision-labeled suites (bf16/int8
-# conversion primitives, packed-panel formats, and the accuracy-budget
-# replay harness asserting bf16 flips == 0 / int8 flips <= budget vs f32)
-# on both the dispatched and the forced-scalar build, then a smoke of the
-# --precision flag surface through a real binary at every tier so a flag-
-# parsing or pack-at-load regression cannot hide behind in-process tests.
-ctest --test-dir build -L precision --output-on-failure -j "$(nproc)"
-ctest --test-dir build-scalar -L precision --output-on-failure -j "$(nproc)"
-for precision in f32 bf16 int8; do
-  ./build/bench_micro_kernels --quick --precision="$precision" >/dev/null
-done
+# Kernel bench smoke: the micro-kernel bench runs every kernel through a
+# real binary at the scalar and dispatched tiers, so a packing or
+# dispatch regression cannot hide behind in-process tests.
+./build/bench_micro_kernels --quick >/dev/null
 
 # Optional -march=native stage (gated on compiler+host support): the widest
 # vector ISA the host has, with auto-vectorization and FMA contraction on

@@ -39,10 +39,9 @@ int main() {
   return 0;
 }
 #else
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const std::string transport_kind =
       flags.get_choice("transport", {"sim", "tcp"}, "sim");
   const bool use_tcp = transport_kind == "tcp";
@@ -124,5 +123,7 @@ int main(int argc, char** argv) {
       "pulls full embeddings of every in-neighbor of every affected vertex\n"
       "— the source of the paper's ~70x communication gap (Fig. 12c).\n");
   return 0;
+} catch (const check_error& e) {
+  return report_fatal_error("distributed_inference", e);
 }
 #endif  // RIPPLE_HAS_DIST

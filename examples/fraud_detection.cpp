@@ -22,7 +22,6 @@ using namespace ripple;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const auto accounts =
       static_cast<std::size_t>(flags.get_int("accounts", 4000));
   const auto updates = static_cast<std::size_t>(flags.get_int("updates", 2000));

@@ -49,7 +49,6 @@ DynamicGraph road_network(std::size_t junctions, Rng& rng) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const auto junctions =
       static_cast<std::size_t>(flags.get_int("junctions", 2500));
   const auto ticks = static_cast<std::size_t>(flags.get_int("ticks", 50));

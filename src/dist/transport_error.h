@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "common/check.h"
@@ -63,6 +64,17 @@ inline const char* transport_error_kind_name(TransportErrorKind kind) {
     case TransportErrorKind::kCorrupt: return "corrupt";
   }
   return "?";
+}
+
+// Exit path for the binaries that open sockets: reports an error that
+// escaped main (a TransportError with its kind, or a check_error such as a
+// busy listen port) on stderr and returns the non-zero exit code, so the
+// process ends cleanly instead of through std::terminate.
+inline int report_fatal_error(const char* prog, const check_error& e) {
+  const bool typed = dynamic_cast<const TransportError*>(&e) != nullptr;
+  std::fprintf(stderr, "%s: fatal %s%s\n", prog, typed ? "" : "check_error: ",
+               e.what());
+  return 1;
 }
 
 }  // namespace ripple

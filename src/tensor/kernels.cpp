@@ -12,7 +12,6 @@ namespace ripple {
 const char* kernel_isa_name(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return "scalar";
-    case KernelIsa::kSse2: return "sse2";
     case KernelIsa::kAvx2: return "avx2";
     case KernelIsa::kAvx512: return "avx512";
   }
@@ -45,93 +44,24 @@ const char* apply_kernel_flag(const Flags& flags) {
   return kernel_isa_name(active_kernel_isa());
 }
 
-void PackedMatrix::assign(const Matrix& w, Precision precision) {
+void PackedMatrix::assign(const Matrix& w) {
   rows_ = w.rows();
   cols_ = w.cols();
-  precision_ = precision;
   const std::size_t panels = num_panels();
-  const std::size_t elems = panels * rows_ * kPanelWidth;
-  // Keep only the active format's buffer allocated (a repack at a new
-  // precision releases the old panels rather than carrying both).
-  if (precision != Precision::kF32) AlignedVector().swap(data_);
-  if (precision != Precision::kBf16) {
-    std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>>().swap(
-        data_bf16_);
-  }
-  if (precision != Precision::kInt8) {
-    std::vector<std::int8_t, AlignedAllocator<std::int8_t>>().swap(
-        data_int8_);
-    scales_.clear();
-  }
-  switch (precision) {
-    case Precision::kF32: data_.resize(elems); break;
-    case Precision::kBf16: data_bf16_.resize(elems); break;
-    case Precision::kInt8:
-      data_int8_.resize(elems);
-      scales_.resize(panels);
-      break;
-  }
+  data_.resize(panels * rows_ * kPanelWidth);
   for (std::size_t pj = 0; pj < panels; ++pj) {
     const std::size_t j0 = pj * kPanelWidth;
     const std::size_t jw = std::min(kPanelWidth, cols_ - j0);
     const std::size_t base = pj * rows_ * kPanelWidth;
-    if (precision == Precision::kInt8) {
-      // Panel scale covers the panel's REAL columns only — padded lanes
-      // are zero codes and must not widen the quantization range.
-      float max_abs = 0.0f;
-      for (std::size_t p = 0; p < rows_; ++p) {
-        const float* src = w.data() + p * cols_ + j0;
-        const float s = int8_scale(src, jw);
-        if (s > max_abs) max_abs = s;
-      }
-      scales_[pj] = max_abs;  // int8_scale already divides by 127
-    }
     for (std::size_t p = 0; p < rows_; ++p) {
       const float* src = w.data() + p * cols_ + j0;
-      switch (precision) {
-        case Precision::kF32: {
-          float* dst = data_.data() + base + p * kPanelWidth;
-          std::memcpy(dst, src, jw * sizeof(float));
-          if (jw < kPanelWidth) {
-            std::memset(dst + jw, 0, (kPanelWidth - jw) * sizeof(float));
-          }
-          break;
-        }
-        case Precision::kBf16: {
-          std::uint16_t* dst = data_bf16_.data() + base + p * kPanelWidth;
-          for (std::size_t lane = 0; lane < jw; ++lane) {
-            dst[lane] = bf16_from_f32(src[lane]);
-          }
-          for (std::size_t lane = jw; lane < kPanelWidth; ++lane) {
-            dst[lane] = 0;
-          }
-          break;
-        }
-        case Precision::kInt8: {
-          std::int8_t* dst = data_int8_.data() + base + p * kPanelWidth;
-          const float scale = scales_[pj];
-          for (std::size_t lane = 0; lane < jw; ++lane) {
-            dst[lane] = int8_quantize(src[lane], scale);
-          }
-          for (std::size_t lane = jw; lane < kPanelWidth; ++lane) {
-            dst[lane] = 0;
-          }
-          break;
-        }
+      float* dst = data_.data() + base + p * kPanelWidth;
+      std::memcpy(dst, src, jw * sizeof(float));
+      if (jw < kPanelWidth) {
+        std::memset(dst + jw, 0, (kPanelWidth - jw) * sizeof(float));
       }
     }
   }
-}
-
-std::size_t PackedMatrix::bytes() const {
-  switch (precision_) {
-    case Precision::kF32: return data_.size() * sizeof(float);
-    case Precision::kBf16: return data_bf16_.size() * sizeof(std::uint16_t);
-    case Precision::kInt8:
-      return data_int8_.size() * sizeof(std::int8_t) +
-             scales_.size() * sizeof(float);
-  }
-  return 0;
 }
 
 namespace {
@@ -166,7 +96,6 @@ const KernelOps* best_table(KernelMode mode) {
       avx2 != nullptr && cpu_has_avx2()) {
     return avx2;
   }
-  if (const KernelOps* sse2 = sse2_kernel_ops(); sse2 != nullptr) return sse2;
   return scalar_kernel_ops();
 #endif
 }
@@ -204,7 +133,6 @@ KernelIsa active_kernel_isa() { return kernels().isa; }
 const KernelOps* kernel_ops_for(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return scalar_kernel_ops();
-    case KernelIsa::kSse2: return sse2_kernel_ops();
     case KernelIsa::kAvx2:
       return cpu_has_avx2() ? avx2_kernel_ops() : nullptr;
     case KernelIsa::kAvx512:
@@ -215,9 +143,6 @@ const KernelOps* kernel_ops_for(KernelIsa isa) {
 
 std::vector<KernelIsa> available_kernel_isas() {
   std::vector<KernelIsa> isas{KernelIsa::kScalar};
-  if (kernel_ops_for(KernelIsa::kSse2) != nullptr) {
-    isas.push_back(KernelIsa::kSse2);
-  }
   if (kernel_ops_for(KernelIsa::kAvx2) != nullptr) {
     isas.push_back(KernelIsa::kAvx2);
   }

@@ -3,15 +3,15 @@
 // Every hot path in the system — RippleEngine's shard apply, hop_kernel's
 // per-vertex Δh GEMVs, the dist engines' recompute, and the serving loop —
 // bottoms out in a handful of dense kernels. This subsystem provides those
-// kernels in four tiers selected ONCE at startup by runtime CPU-feature
+// kernels in three tiers selected ONCE at startup by runtime CPU-feature
 // detection:
 //
 //   AVX-512 (simd_avx512.cpp, compiled with -mavx512f; taken when the CPU
 //           reports AVX512F)
 //   AVX2  (simd_avx2.cpp, compiled with -mavx2; taken when the CPU
 //          reports AVX2)
-//   SSE2  (simd_sse2.cpp; the x86-64 baseline)
-//   scalar (simd_scalar.cpp; portable C++, every platform)
+//   scalar (simd_scalar.cpp; portable C++, every platform, including
+//          pre-AVX2 x86-64 hosts)
 //
 // The selection is overridable with --kernels=auto|scalar (threaded through
 // Flags by the benches/examples, exactly like --scheduler) and forceable at
@@ -45,26 +45,18 @@
 // selected by hardware operand order — which the compiler may commute in
 // the scalar tier — so the cross-tier contract covers NaN-ness, not NaN
 // payload bits. ±0, denormals, and infinities are exact.
-//
-// Reduced precision (tensor/precision.h): PackedMatrix can also hold bf16
-// or int8 panels. The *_bf16 / *_int8 table entries dequantize the weight
-// per element and accumulate in f32 over the SAME ascending-k chains, so
-// for a FIXED precision every tier is still bit-identical; only the f32
-// REFERENCE is approximated (bounded by the accuracy-budget suite).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "tensor/matrix.h"
-#include "tensor/precision.h"
 
 namespace ripple {
 
 // Instruction-set tier of a kernel table.
-enum class KernelIsa { kScalar, kSse2, kAvx2, kAvx512 };
+enum class KernelIsa { kScalar, kAvx2, kAvx512 };
 
 const char* kernel_isa_name(KernelIsa isa);
 
@@ -95,34 +87,24 @@ const char* apply_kernel_flag(const Flags& flags);
 // compute the padded lanes and drop them on store, which never changes the
 // bits of a real output element.
 //
-// A panel holds its weights at one of three storage precisions
-// (tensor/precision.h): f32 (the default, 64 B/row/panel), bf16
-// (32 B/row/panel, exact widening dequant), or int8 (16 B/row/panel plus
-// one f32 scale per panel). The panel column layout is identical across
-// formats; only the element width changes. Kernels must read the panel
-// through the accessor matching precision().
-//
 // GNN layer weights are immutable across the stream, so GnnLayer packs each
-// weight once at model load (at the active precision) and every update_row
-// / update_matrix call reuses the panels (see gnn/layers.h).
+// weight once at model load and every update_row / update_matrix call
+// reuses the panels (see gnn/layers.h).
 class PackedMatrix {
  public:
   static constexpr std::size_t kPanelWidth = 16;
 
   PackedMatrix() = default;
 
-  static PackedMatrix pack(const Matrix& w,
-                           Precision precision = Precision::kF32) {
+  static PackedMatrix pack(const Matrix& w) {
     PackedMatrix p;
-    p.assign(w, precision);
+    p.assign(w);
     return p;
   }
 
   // Re-packs in place, reusing the existing buffer when large enough (the
   // per-call scratch path of the unpacked gemm()).
-  void assign(const Matrix& w, Precision precision = Precision::kF32);
-
-  Precision precision() const { return precision_; }
+  void assign(const Matrix& w);
 
   std::size_t rows() const { return rows_; }  // k: the GEMM reduction depth
   std::size_t cols() const { return cols_; }  // n: real (unpadded) columns
@@ -132,31 +114,18 @@ class PackedMatrix {
     return (cols_ + kPanelWidth - 1) / kPanelWidth;
   }
   // Panel pj covers columns [pj*kPanelWidth, min(cols, ...)); layout is
-  // rows_ rows of kPanelWidth elements, 64-byte aligned. Each accessor is
-  // valid only for the matching precision().
+  // rows_ rows of kPanelWidth floats, 64-byte aligned.
   const float* panel(std::size_t pj) const {
     return data_.data() + pj * rows_ * kPanelWidth;
   }
-  const std::uint16_t* panel_bf16(std::size_t pj) const {
-    return data_bf16_.data() + pj * rows_ * kPanelWidth;
-  }
-  const std::int8_t* panel_int8(std::size_t pj) const {
-    return data_int8_.data() + pj * rows_ * kPanelWidth;
-  }
-  // Symmetric dequantization scale of panel pj (int8 panels only).
-  float panel_scale(std::size_t pj) const { return scales_[pj]; }
 
-  // Storage footprint of the active format (panel data + int8 scales).
-  std::size_t bytes() const;
+  // Storage footprint of the panel data.
+  std::size_t bytes() const { return data_.size() * sizeof(float); }
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  Precision precision_ = Precision::kF32;
-  AlignedVector data_;  // f32 panels
-  std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>> data_bf16_;
-  std::vector<std::int8_t, AlignedAllocator<std::int8_t>> data_int8_;
-  std::vector<float> scales_;  // one per panel (int8 only)
+  AlignedVector data_;
 };
 
 // One tier's kernel table. All pointers are non-null in every table.
@@ -175,9 +144,9 @@ struct KernelOps {
 
   // Canonical 8-lane dot product: partial sums s[i % 8] += a[i]·b[i], then
   // the fixed reduction (((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))) — the
-  // natural 256→128→scalar narrowing order, mirrored exactly by the SSE2
-  // and scalar tiers so the result is bit-identical across tiers (though
-  // different from a naive left-to-right sum).
+  // natural 256→128→scalar narrowing order, mirrored exactly by the scalar
+  // tier so the result is bit-identical across tiers (though different from
+  // a naive left-to-right sum).
   float (*vec_dot)(const float* a, const float* b, std::size_t n);
 
   // y[j] += Σ_p x[p]·w[p·ldw + j] for j in [0, n); ascending p per column.
@@ -196,24 +165,6 @@ struct KernelOps {
   void (*gemm_packed)(const float* a, std::size_t m, std::size_t k,
                       std::size_t lda, const PackedMatrix& b, float* c,
                       std::size_t ldc);
-
-  // Reduced-precision variants (w/b must be packed at the matching
-  // precision). bf16: y[j] += Σ_p x[p]·widen(w[p][j]) — the dequant is an
-  // exact shift, so this is the f32 chain over bf16-rounded weights. int8:
-  // the integer codes accumulate through f32 as
-  //   acc[j] = Σ_p x[p]·float(q[p][j]);  y[j] += scale_panel · acc[j]
-  // — the panel scale is hoisted OUT of the k-loop (one chain shape in
-  // every tier, and one fewer rounding per element than scaling inside).
-  void (*gemv_accum_packed_bf16)(const float* x, std::size_t k,
-                                 const PackedMatrix& w, float* y);
-  void (*gemm_packed_bf16)(const float* a, std::size_t m, std::size_t k,
-                           std::size_t lda, const PackedMatrix& b, float* c,
-                           std::size_t ldc);
-  void (*gemv_accum_packed_int8)(const float* x, std::size_t k,
-                                 const PackedMatrix& w, float* y);
-  void (*gemm_packed_int8)(const float* a, std::size_t m, std::size_t k,
-                           std::size_t lda, const PackedMatrix& b, float* c,
-                           std::size_t ldc);
 };
 
 // The active table. First use runs CPU detection (honoring the compile-time
@@ -239,7 +190,6 @@ std::vector<KernelIsa> available_kernel_isas();
 
 // Accessors implemented by the per-tier TUs (internal; use kernels()).
 const KernelOps* scalar_kernel_ops();
-const KernelOps* sse2_kernel_ops();    // nullptr when built without SSE2
 const KernelOps* avx2_kernel_ops();    // nullptr when built without -mavx2
 const KernelOps* avx512_kernel_ops();  // nullptr when built without -mavx512f
 

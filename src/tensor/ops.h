@@ -26,8 +26,7 @@ class WorkStealingScheduler;
 // gemm_pack_cache_stats below): repeated serial GEMMs against the same
 // unchanged B skip the repack. Callers multiplying by an immutable matrix
 // repeatedly (layer weights) should still pack once and use the
-// PackedMatrix overloads — those also select the reduced-precision kernel
-// matching the pack's precision.
+// PackedMatrix overloads.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           ThreadPool* pool = nullptr);
 

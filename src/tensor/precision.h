@@ -1,70 +1,21 @@
-// Reduced-precision inference tier: storage precisions for packed weight
-// panels (tensor/kernels.h) and the conversion primitives they share with
-// the bf16 wire codec (dist/wire_format.h).
+// bfloat16 conversion primitives for the bf16 wire codec
+// (--wire-precision=bf16, dist/wire_format.h).
 //
-// Precisions
-// ----------
-//   f32  — the default; bit-identical to the pre-precision-tier behavior.
-//   bf16 — weights stored as bfloat16 (the top 16 bits of the f32 pattern,
-//          round-to-nearest-even). Dequantization is EXACT (widen = shift),
-//          so a bf16 kernel is "f32 kernel over bf16_round(w)".
-//   int8 — weights stored as int8 with one symmetric scale per 16-column
-//          panel (scale = max|w| / 127, values rounded to nearest-even and
-//          clamped to ±127). Dequantization multiplies by the panel scale.
-//
-// Accumulation contract: ALL arithmetic accumulates in f32 regardless of
-// storage precision — only the weight operand is narrowed. For a FIXED
-// precision, every kernel tier (scalar/SSE2/AVX2/AVX-512) produces
-// bit-identical outputs: each tier dequantizes per element and runs the
-// same ascending-k mul/add chain as the f32 contract in kernels.h. The
-// cross-tier exactness property suites therefore extend to the reduced
-// precisions unchanged; what reduced precision gives up is exactness vs
-// the f32 REFERENCE, which the accuracy-budget suite bounds instead
-// (tests/precision/, docs/precision.md).
-//
-// The process-global precision mirrors the kernel-mode global: benches and
-// examples thread --precision=f32|bf16|int8 through Flags exactly like
-// --kernels, and GnnLayer packs weights at the precision active at
-// pack/repack time.
+// bf16 is the top half of the f32 bit pattern, so widening is an exact
+// shift. All compute stays f32; bf16 is only a wire format for delta rows.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <string>
-#include <vector>
 
 namespace ripple {
 
-// Storage precision of a packed weight panel (and the flag value).
-enum class Precision { kF32, kBf16, kInt8 };
-
-const char* precision_name(Precision p);
-// Parses "f32" / "bf16" / "int8"; dies with a message on anything else.
-Precision parse_precision(const std::string& name);
-// The accepted --precision values, for Flags::get_choice.
-const std::vector<std::string>& precision_choices();
-
-class Flags;
-
-// Applies --precision=f32|bf16|int8 (validated; defaults to f32) and
-// returns its name for a bench's config line / JSON output. The one entry
-// point every bench and example uses, next to apply_kernel_flag.
-const char* apply_precision_flag(const Flags& flags);
-
-// Process-global storage precision for weight packing. Like
-// set_kernel_mode, intended for startup / test setup; GnnLayer reads it at
-// pack()/repack() time, so changing it mid-stream only takes effect after
-// an explicit repack.
-void set_precision(Precision p);
-Precision active_precision();
-
-// ---- bf16 primitives -------------------------------------------------
-// bf16 is the top half of the f32 bit pattern. Narrowing rounds to
-// nearest-even on the dropped 16 bits; NaNs keep their sign/exponent and
-// get the quiet bit forced so a payload-only-in-low-bits NaN cannot narrow
-// to infinity (NaN-ness is preserved, payload is not — matching the
-// kernel NaN contract). ±0, denormals, and infinities round exactly per
-// RNE (bf16 has f32's exponent range, so no overflow surprises).
+// Narrowing rounds to nearest-even on the dropped 16 bits; NaNs keep their
+// sign/exponent and get the quiet bit forced so a payload-only-in-low-bits
+// NaN cannot narrow to infinity (NaN-ness is preserved, payload is not —
+// matching the kernel NaN contract). ±0, denormals, and infinities round
+// exactly per RNE (bf16 has f32's exponent range, so no overflow
+// surprises).
 
 inline std::uint16_t bf16_from_f32(float x) {
   std::uint32_t bits;
@@ -83,22 +34,8 @@ inline float bf16_to_f32(std::uint16_t h) {
   return x;
 }
 
-// Round-trip through bf16: the value a bf16 panel / wire row actually
-// carries. Exact for values with <= 8 significand bits.
+// Round-trip through bf16: the value a bf16 wire row actually carries.
+// Exact for values with <= 8 significand bits.
 inline float bf16_round(float x) { return bf16_to_f32(bf16_from_f32(x)); }
-
-// ---- int8 primitives -------------------------------------------------
-// Symmetric per-panel quantization: scale = max|w| / 127 over the panel,
-// q = clamp(round_to_nearest_even(w / scale), -127, 127). An all-zero
-// panel gets scale 0 and all-zero codes (dequantizing to exact +0).
-// Non-finite weights are rejected at pack time (RIPPLE_CHECK) — int8 has
-// no encoding for inf/NaN and silently saturating them would corrupt
-// inference; f32/bf16 panels carry them through unchanged.
-
-// Scale for a buffer of n weights (0 when all are zero).
-float int8_scale(const float* w, std::size_t n);
-
-// Quantizes one value against a scale (scale may be 0 -> code 0).
-std::int8_t int8_quantize(float x, float scale);
 
 }  // namespace ripple

@@ -201,151 +201,6 @@ void v_gemm_packed(const float* a, std::size_t m, std::size_t k,
   }
 }
 
-// ---- reduced-precision panels (precision.h) --------------------------
-// Per-element exact dequant folded into the f32 loop shapes; chains stay
-// identical to the scalar reference at a fixed precision.
-
-// 8 bf16 values -> 8 f32: zero-extend the halfwords and shift into the
-// high 16 bits (exact widening).
-inline __m256 bf16_widen8(const std::uint16_t* p) {
-  const __m128i v16 = _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(v16), 16));
-}
-
-// 8 int8 codes -> 8 f32 (exact for |code| <= 127).
-inline __m256 int8_widen8(const std::int8_t* p) {
-  const __m128i v8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(v8));
-}
-
-void v_gemv_accum_packed_bf16(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = w.panel_bf16(pj);
-    float* yj = y + j0;
-    if (jw == kW) {
-      __m256 acc0 = _mm256_loadu_ps(yj);
-      __m256 acc1 = _mm256_loadu_ps(yj + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 xp = _mm256_set1_ps(x[p]);
-        const std::uint16_t* bp = panel + p * kW;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xp, bf16_widen8(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xp, bf16_widen8(bp + 8)));
-      }
-      _mm256_storeu_ps(yj, acc0);
-      _mm256_storeu_ps(yj + 8, acc1);
-      continue;
-    }
-    for (std::size_t j = 0; j < jw; ++j) {
-      float acc = yj[j];
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += x[p] * bf16_to_f32(panel[p * kW + j]);
-      }
-      yj[j] = acc;
-    }
-  }
-}
-
-void v_gemm_packed_bf16(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = b.panel_bf16(pj);
-    for (std::size_t i = 0; i < m; ++i) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 va = _mm256_set1_ps(ai[p]);
-        const std::uint16_t* bp = panel + p * kW;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, bf16_widen8(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, bf16_widen8(bp + 8)));
-      }
-      float* ci = c + i * ldc + j0;
-      if (jw == kW) {
-        _mm256_storeu_ps(ci, acc0);
-        _mm256_storeu_ps(ci + 8, acc1);
-      } else {
-        alignas(32) float tmp[kW];
-        _mm256_store_ps(tmp, acc0);
-        _mm256_store_ps(tmp + 8, acc1);
-        for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = tmp[lane];
-      }
-    }
-  }
-}
-
-void v_gemv_accum_packed_int8(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = w.panel_int8(pj);
-    const __m256 scale = _mm256_set1_ps(w.panel_scale(pj));
-    float* yj = y + j0;
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-      const __m256 xp = _mm256_set1_ps(x[p]);
-      const std::int8_t* bp = panel + p * kW;
-      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xp, int8_widen8(bp)));
-      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xp, int8_widen8(bp + 8)));
-    }
-    if (jw == kW) {
-      _mm256_storeu_ps(
-          yj, _mm256_add_ps(_mm256_loadu_ps(yj), _mm256_mul_ps(scale, acc0)));
-      _mm256_storeu_ps(yj + 8,
-                       _mm256_add_ps(_mm256_loadu_ps(yj + 8),
-                                     _mm256_mul_ps(scale, acc1)));
-    } else {
-      alignas(32) float tmp[kW];
-      _mm256_store_ps(tmp, _mm256_mul_ps(scale, acc0));
-      _mm256_store_ps(tmp + 8, _mm256_mul_ps(scale, acc1));
-      for (std::size_t lane = 0; lane < jw; ++lane) yj[lane] += tmp[lane];
-    }
-  }
-}
-
-void v_gemm_packed_int8(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = b.panel_int8(pj);
-    const __m256 scale = _mm256_set1_ps(b.panel_scale(pj));
-    for (std::size_t i = 0; i < m; ++i) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256 va = _mm256_set1_ps(ai[p]);
-        const std::int8_t* bp = panel + p * kW;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, int8_widen8(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, int8_widen8(bp + 8)));
-      }
-      float* ci = c + i * ldc + j0;
-      alignas(32) float tmp[kW];
-      _mm256_store_ps(tmp, _mm256_mul_ps(scale, acc0));
-      _mm256_store_ps(tmp + 8, _mm256_mul_ps(scale, acc1));
-      for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = tmp[lane];
-    }
-  }
-}
-
 const KernelOps kAvx2Ops = {
     .isa = KernelIsa::kAvx2,
     .vec_add = v_vec_add,
@@ -357,10 +212,6 @@ const KernelOps kAvx2Ops = {
     .gemv_accum = v_gemv_accum,
     .gemv_accum_packed = v_gemv_accum_packed,
     .gemm_packed = v_gemm_packed,
-    .gemv_accum_packed_bf16 = v_gemv_accum_packed_bf16,
-    .gemm_packed_bf16 = v_gemm_packed_bf16,
-    .gemv_accum_packed_int8 = v_gemv_accum_packed_int8,
-    .gemm_packed_int8 = v_gemm_packed_int8,
 };
 
 }  // namespace

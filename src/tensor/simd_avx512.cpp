@@ -177,124 +177,6 @@ void v_gemm_packed(const float* a, std::size_t m, std::size_t k,
   }
 }
 
-// ---- reduced-precision panels (precision.h) --------------------------
-// A full panel row is 16 values in every format: 32 bytes of bf16 (one
-// ymm source) or 16 bytes of int8 (one xmm source), widened to one zmm.
-
-inline __m512 bf16_widen16(const std::uint16_t* p) {
-  const __m256i v16 = _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
-  return _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_cvtepu16_epi32(v16), 16));
-}
-
-inline __m512 int8_widen16(const std::int8_t* p) {
-  const __m128i v8 = _mm_load_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(v8));
-}
-
-void v_gemv_accum_packed_bf16(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = w.panel_bf16(pj);
-    float* yj = y + j0;
-    if (jw == kW) {
-      __m512 acc = _mm512_loadu_ps(yj);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512 xp = _mm512_set1_ps(x[p]);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(xp, bf16_widen16(panel + p * kW)));
-      }
-      _mm512_storeu_ps(yj, acc);
-      continue;
-    }
-    for (std::size_t j = 0; j < jw; ++j) {
-      float acc = yj[j];
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += x[p] * bf16_to_f32(panel[p * kW + j]);
-      }
-      yj[j] = acc;
-    }
-  }
-}
-
-void v_gemm_packed_bf16(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = b.panel_bf16(pj);
-    for (std::size_t i = 0; i < m; ++i) {
-      __m512 acc = _mm512_setzero_ps();
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512 va = _mm512_set1_ps(ai[p]);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(va, bf16_widen16(panel + p * kW)));
-      }
-      float* ci = c + i * ldc + j0;
-      if (jw == kW) {
-        _mm512_storeu_ps(ci, acc);
-      } else {
-        alignas(64) float tmp[kW];
-        _mm512_store_ps(tmp, acc);
-        for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = tmp[lane];
-      }
-    }
-  }
-}
-
-void v_gemv_accum_packed_int8(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = w.panel_int8(pj);
-    const __m512 scale = _mm512_set1_ps(w.panel_scale(pj));
-    float* yj = y + j0;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-      const __m512 xp = _mm512_set1_ps(x[p]);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(xp, int8_widen16(panel + p * kW)));
-    }
-    if (jw == kW) {
-      _mm512_storeu_ps(
-          yj, _mm512_add_ps(_mm512_loadu_ps(yj), _mm512_mul_ps(scale, acc)));
-    } else {
-      alignas(64) float tmp[kW];
-      _mm512_store_ps(tmp, _mm512_mul_ps(scale, acc));
-      for (std::size_t lane = 0; lane < jw; ++lane) yj[lane] += tmp[lane];
-    }
-  }
-}
-
-void v_gemm_packed_int8(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = b.panel_int8(pj);
-    const __m512 scale = _mm512_set1_ps(b.panel_scale(pj));
-    for (std::size_t i = 0; i < m; ++i) {
-      __m512 acc = _mm512_setzero_ps();
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512 va = _mm512_set1_ps(ai[p]);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(va, int8_widen16(panel + p * kW)));
-      }
-      float* ci = c + i * ldc + j0;
-      alignas(64) float tmp[kW];
-      _mm512_store_ps(tmp, _mm512_mul_ps(scale, acc));
-      for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = tmp[lane];
-    }
-  }
-}
-
 const KernelOps kAvx512Ops = {
     .isa = KernelIsa::kAvx512,
     .vec_add = v_vec_add,
@@ -306,10 +188,6 @@ const KernelOps kAvx512Ops = {
     .gemv_accum = v_gemv_accum,
     .gemv_accum_packed = v_gemv_accum_packed,
     .gemm_packed = v_gemm_packed,
-    .gemv_accum_packed_bf16 = v_gemv_accum_packed_bf16,
-    .gemm_packed_bf16 = v_gemm_packed_bf16,
-    .gemv_accum_packed_int8 = v_gemv_accum_packed_int8,
-    .gemm_packed_int8 = v_gemm_packed_int8,
 };
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "dist/wire_format.h"
 #include "infer/recompute.h"
 #include "stream/generator.h"
+#include "tensor/precision.h"
 
 namespace ripple {
 namespace {

@@ -1,36 +1,18 @@
-// Unit suite for the reduced-precision primitives (tensor/precision.h):
-// bf16 narrowing/widening (round-to-nearest-even, NaN quieting, ±0 /
-// denormal / infinity handling), int8 symmetric scale selection and
-// quantization, and the bf16 / int8 panel formats of PackedMatrix
-// (layout, padding, scales, footprint). The kernel tiers that CONSUME
-// these panels are covered by tests/tensor/test_kernels.cpp.
+// Unit suite for the bf16 conversion primitives (tensor/precision.h) used
+// by the --wire-precision=bf16 codec: narrowing/widening
+// (round-to-nearest-even, NaN quieting, ±0 / denormal / infinity
+// handling).
 #include "tensor/precision.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-
-#include "common/check.h"
-#include "common/rng.h"
-#include "tensor/kernels.h"
 
 namespace ripple {
 namespace {
-
-constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-
-TEST(PrecisionFlag, ParsingAndNames) {
-  EXPECT_EQ(parse_precision("f32"), Precision::kF32);
-  EXPECT_EQ(parse_precision("bf16"), Precision::kBf16);
-  EXPECT_EQ(parse_precision("int8"), Precision::kInt8);
-  EXPECT_THROW(parse_precision("fp16"), check_error);
-  EXPECT_STREQ(precision_name(Precision::kF32), "f32");
-  EXPECT_STREQ(precision_name(Precision::kBf16), "bf16");
-  EXPECT_STREQ(precision_name(Precision::kInt8), "int8");
-  EXPECT_EQ(precision_choices().size(), 3u);
-}
 
 TEST(Bf16, WideningIsExactRoundTrip) {
   // Every bf16 pattern widens to an f32 whose re-narrowing returns the
@@ -105,154 +87,6 @@ TEST(Bf16, ZerosInfinitiesAndDenormals) {
   // because its mantissa rounds over, which IS correct RNE behavior.
   EXPECT_EQ(bf16_from_f32(std::numeric_limits<float>::max()), 0x7f80u);
   EXPECT_EQ(bf16_from_f32(std::bit_cast<float>(0x7f7f0000u)), 0x7f7fu);
-}
-
-TEST(Int8, ScaleIsMaxAbsOver127) {
-  const float w[] = {0.5f, -3.81f, 2.0f, 0.0f};
-  EXPECT_FLOAT_EQ(int8_scale(w, 4), 3.81f / 127.0f);
-  // All-zero buffer: scale 0 (dequantizes to exact +0 everywhere).
-  const float zeros[3] = {0.0f, -0.0f, 0.0f};
-  EXPECT_EQ(int8_scale(zeros, 3), 0.0f);
-  EXPECT_EQ(int8_scale(nullptr, 0), 0.0f);
-}
-
-TEST(Int8, ScaleRejectsNonFinite) {
-  const float with_nan[] = {1.0f, std::nanf("")};
-  EXPECT_THROW(int8_scale(with_nan, 2), check_error);
-  const float with_inf[] = {std::numeric_limits<float>::infinity()};
-  EXPECT_THROW(int8_scale(with_inf, 1), check_error);
-}
-
-TEST(Int8, QuantizeRoundsToNearestEvenAndClamps) {
-  // With scale 1 the quantizer is lrintf: ties go to even.
-  EXPECT_EQ(int8_quantize(0.5f, 1.0f), 0);
-  EXPECT_EQ(int8_quantize(1.5f, 1.0f), 2);
-  EXPECT_EQ(int8_quantize(2.5f, 1.0f), 2);
-  EXPECT_EQ(int8_quantize(-0.5f, 1.0f), 0);
-  EXPECT_EQ(int8_quantize(-1.5f, 1.0f), -2);
-  EXPECT_EQ(int8_quantize(0.75f, 1.0f), 1);
-  // Symmetric clamp at ±127 (never -128).
-  EXPECT_EQ(int8_quantize(500.0f, 1.0f), 127);
-  EXPECT_EQ(int8_quantize(-500.0f, 1.0f), -127);
-  // The panel max quantizes to exactly ±127 by construction.
-  const float scale = 3.81f / 127.0f;
-  EXPECT_EQ(int8_quantize(3.81f, scale), 127);
-  EXPECT_EQ(int8_quantize(-3.81f, scale), -127);
-  // Zero scale (all-zero panel): every code is 0.
-  EXPECT_EQ(int8_quantize(123.0f, 0.0f), 0);
-}
-
-TEST(Int8, QuantizationErrorBoundedByHalfScale) {
-  Rng rng(11);
-  std::vector<float> w(257);
-  for (auto& v : w) v = rng.next_float(-4.0f, 4.0f);
-  const float scale = int8_scale(w.data(), w.size());
-  for (const float v : w) {
-    const float deq = scale * static_cast<float>(int8_quantize(v, scale));
-    EXPECT_LE(std::abs(deq - v), scale * 0.5f + 1e-7f) << v;
-  }
-}
-
-TEST(PackedPrecision, Bf16PanelLayoutAndFootprint) {
-  Rng rng(7);
-  const auto w = Matrix::random_uniform(5, 21, rng);  // 2 panels, 5-wide tail
-  const auto pw = PackedMatrix::pack(w, Precision::kBf16);
-  EXPECT_EQ(pw.precision(), Precision::kBf16);
-  EXPECT_EQ(pw.num_panels(), 2u);
-  for (std::size_t pj = 0; pj < pw.num_panels(); ++pj) {
-    const std::uint16_t* panel = pw.panel_bf16(pj);
-    for (std::size_t p = 0; p < 5; ++p) {
-      for (std::size_t lane = 0; lane < kW; ++lane) {
-        const std::size_t j = pj * kW + lane;
-        const std::uint16_t expect = j < 21 ? bf16_from_f32(w.at(p, j)) : 0;
-        EXPECT_EQ(panel[p * kW + lane], expect)
-            << "panel " << pj << " row " << p << " lane " << lane;
-      }
-    }
-  }
-  // Half the f32 footprint, and still SIMD-aligned at the panel base.
-  EXPECT_EQ(pw.bytes(), 2 * 5 * kW * sizeof(std::uint16_t));
-  EXPECT_EQ(PackedMatrix::pack(w, Precision::kF32).bytes(), 2 * pw.bytes());
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pw.panel_bf16(0)) % 32, 0u);
-}
-
-TEST(PackedPrecision, Int8PanelScalesCodesAndFootprint) {
-  Rng rng(8);
-  Matrix w(4, 19);  // second panel: 3 real columns + 13 padding lanes
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 19; ++c) {
-      w.at(r, c) = rng.next_float(-2.0f, 2.0f);
-    }
-  }
-  // Make the tail panel's max land on a known value well under the first
-  // panel's, so a scale computed over the WRONG panel would be caught.
-  w.at(2, 17) = 0.25f;
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 16; c < 19; ++c) {
-      if (r != 2 || c != 17) w.at(r, c) *= 0.1f;
-    }
-  }
-  w.at(1, 3) = -1.9f;
-
-  const auto pw = PackedMatrix::pack(w, Precision::kInt8);
-  EXPECT_EQ(pw.precision(), Precision::kInt8);
-  ASSERT_EQ(pw.num_panels(), 2u);
-  // Per-panel scale = max |w| over the panel's REAL columns / 127.
-  for (std::size_t pj = 0; pj < 2; ++pj) {
-    float max_abs = 0;
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t c = pj * kW; c < std::min<std::size_t>(19, (pj + 1) * kW);
-           ++c) {
-        max_abs = std::max(max_abs, std::abs(w.at(r, c)));
-      }
-    }
-    EXPECT_FLOAT_EQ(pw.panel_scale(pj), max_abs / 127.0f) << "panel " << pj;
-    const std::int8_t* panel = pw.panel_int8(pj);
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t lane = 0; lane < kW; ++lane) {
-        const std::size_t j = pj * kW + lane;
-        const std::int8_t expect =
-            j < 19 ? int8_quantize(w.at(r, j), pw.panel_scale(pj)) : 0;
-        EXPECT_EQ(panel[r * kW + lane], expect)
-            << "panel " << pj << " row " << r << " lane " << lane;
-      }
-    }
-  }
-  // Quarter the f32 panel bytes, plus one f32 scale per panel.
-  EXPECT_EQ(pw.bytes(), 2 * 4 * kW * sizeof(std::int8_t) + 2 * sizeof(float));
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pw.panel_int8(0)) % 16, 0u);
-}
-
-TEST(PackedPrecision, Int8PackRejectsNonFiniteWeightsBf16CarriesThem) {
-  Matrix w(2, 3, 1.0f);
-  w.at(1, 2) = std::nanf("");
-  EXPECT_THROW(PackedMatrix::pack(w, Precision::kInt8), check_error);
-  const auto bf = PackedMatrix::pack(w, Precision::kBf16);
-  EXPECT_TRUE(std::isnan(bf16_to_f32(bf.panel_bf16(0)[1 * kW + 2])));
-}
-
-TEST(PackedPrecision, RepackSwitchesFormatAndFreesOldBuffer) {
-  Rng rng(9);
-  const auto w = Matrix::random_uniform(6, 33, rng);
-  PackedMatrix p = PackedMatrix::pack(w, Precision::kF32);
-  const std::size_t f32_bytes = p.bytes();
-  p.assign(w, Precision::kInt8);
-  EXPECT_EQ(p.precision(), Precision::kInt8);
-  EXPECT_LT(p.bytes(), f32_bytes / 3);  // quartered panels + tiny scales
-  p.assign(w, Precision::kF32);
-  EXPECT_EQ(p.precision(), Precision::kF32);
-  EXPECT_EQ(p.bytes(), f32_bytes);
-  // Values survive the round of format switches (f32 panels are exact).
-  EXPECT_EQ(p.panel(0)[0], w.at(0, 0));
-}
-
-TEST(PrecisionGlobal, SetAndReadBack) {
-  const Precision saved = active_precision();
-  set_precision(Precision::kBf16);
-  EXPECT_EQ(active_precision(), Precision::kBf16);
-  set_precision(Precision::kInt8);
-  EXPECT_EQ(active_precision(), Precision::kInt8);
-  set_precision(saved);
 }
 
 }  // namespace
