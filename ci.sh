@@ -88,6 +88,10 @@ ctest --test-dir build-scalar -L unit --output-on-failure -j "$(nproc)"
 # real binary at the scalar and dispatched tiers, so a packing or
 # dispatch regression cannot hide behind in-process tests.
 ./build/bench_micro_kernels --quick >/dev/null
+# Scheduler smoke: the work-stealing runtime — the engines' only parallel
+# path — runs inline (1 thread) and pooled (2 threads) through a real
+# binary.
+./build/bench_parallel_scaling --quick --threads=1,2 --updates=200 >/dev/null
 
 # Optional -march=native stage (gated on compiler+host support): the widest
 # vector ISA the host has, with auto-vectorization and FMA contraction on

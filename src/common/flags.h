@@ -34,8 +34,7 @@ class Flags {
       const std::string& name, const std::vector<double>& default_value) const;
 
   // Validated enumeration value: dies with a message listing the allowed
-  // values when the flag is set to anything else (e.g.
-  // --scheduler=static|steal).
+  // values when the flag is set to anything else (e.g. --mode=bsp|async).
   std::string get_choice(const std::string& name,
                          const std::vector<std::string>& allowed,
                          const std::string& default_value) const;

@@ -9,18 +9,6 @@
 
 namespace ripple {
 
-const char* scheduler_mode_name(SchedulerMode mode) {
-  return mode == SchedulerMode::kStatic ? "static" : "steal";
-}
-
-SchedulerMode parse_scheduler_mode(const std::string& name) {
-  if (name == "static") return SchedulerMode::kStatic;
-  if (name == "steal") return SchedulerMode::kSteal;
-  RIPPLE_CHECK_MSG(false, "unknown scheduler '" << name
-                                                << "' (expected static|steal)");
-  return SchedulerMode::kStatic;  // unreachable
-}
-
 // ---------------------------------------------------------------------------
 // ChaseLevDeque
 // ---------------------------------------------------------------------------
@@ -128,9 +116,18 @@ struct ParticipantContext {
 };
 thread_local ParticipantContext tl_participant;
 // Task nesting depth on this thread: busy time is only recorded for
-// depth-1 tasks, so work a task helps with inside its own nested regions
-// is not double-counted (the stolen sub-tasks are depth-1 on the thief).
+// depth-1 tasks and for regions opened at depth 0, so work a task runs
+// inside its own nested regions is not double-counted (the stolen sub-tasks
+// are depth-1 on the thief).
 thread_local std::size_t tl_task_depth = 0;
+
+// Scoped tl_task_depth increment; also unwinds when a serial body throws.
+struct TaskDepthScope {
+  TaskDepthScope() { ++tl_task_depth; }
+  ~TaskDepthScope() { --tl_task_depth; }
+  TaskDepthScope(const TaskDepthScope&) = delete;
+  TaskDepthScope& operator=(const TaskDepthScope&) = delete;
+};
 
 // Cheap per-participant xorshift for victim selection. Randomness only
 // shapes steal contention, never results.
@@ -162,11 +159,16 @@ void WorkStealingScheduler::reset_stats() {
 void WorkStealingScheduler::run_serial(
     std::size_t n, const std::function<void(std::size_t)>& body) {
   StopWatch watch;
-  for (std::size_t i = 0; i < n; ++i) body(i);
-  const double sec = watch.elapsed_sec();
+  {
+    const TaskDepthScope depth;
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
   stats_.tasks += n;
-  stats_.busy_max_sec += sec;
-  stats_.busy_total_sec += sec;
+  if (tl_task_depth == 0) {
+    const double sec = watch.elapsed_sec();
+    stats_.busy_max_sec += sec;
+    stats_.busy_total_sec += sec;
+  }
 }
 
 void WorkStealingScheduler::seed_tasks(std::vector<TaskNode>& nodes,
@@ -204,9 +206,10 @@ void WorkStealingScheduler::seed_tasks(std::vector<TaskNode>& nodes,
 
 void WorkStealingScheduler::execute(TaskNode* node, std::size_t slot) {
   StopWatch watch;
-  ++tl_task_depth;
-  (*node->group->body)(node->index);
-  --tl_task_depth;
+  {
+    const TaskDepthScope depth;
+    (*node->group->body)(node->index);
+  }
   SlotCounters& mine = slots_[slot];
   if (tl_task_depth == 0) mine.busy_sec += watch.elapsed_sec();
   mine.tasks += 1;
@@ -252,16 +255,16 @@ void WorkStealingScheduler::participate(std::size_t slot, TaskGroup& group) {
   tl_participant = saved;
 }
 
-void WorkStealingScheduler::collect_region_stats() {
+void WorkStealingScheduler::collect_region_stats(bool record_busy) {
   double region_max = 0;
   for (SlotCounters& sc : slots_) {
     stats_.tasks += sc.tasks;
     stats_.steals += sc.steals;
-    stats_.busy_total_sec += sc.busy_sec;
+    if (record_busy) stats_.busy_total_sec += sc.busy_sec;
     region_max = std::max(region_max, sc.busy_sec);
     sc = SlotCounters{};
   }
-  stats_.busy_max_sec += region_max;
+  if (record_busy) stats_.busy_max_sec += region_max;
 }
 
 void WorkStealingScheduler::run_nested(
@@ -309,12 +312,14 @@ void WorkStealingScheduler::run(std::size_t n,
   }
   // Serial fallbacks: no pool, a single task, or a caller that is a pool
   // worker without being a participant (opening a region there would block
-  // a worker in wait_all behind its own queue — same hazard the static
-  // parallel_for inlines around).
+  // a worker in wait_all behind its own queue).
   if (pool_ == nullptr || width_ <= 1 || n == 1 || pool_->on_worker_thread()) {
     run_serial(n, body);
     return;
   }
+  // A region opened inside a serial task (depth > 0) is nested in that
+  // task's seconds: count its tasks, but not its busy time.
+  const bool outermost = tl_task_depth == 0;
   TaskGroup group{&body, static_cast<std::int64_t>(n)};
   std::vector<TaskNode> nodes(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -332,7 +337,7 @@ void WorkStealingScheduler::run(std::size_t n,
   // pending == 0 already; wait_all only drains the participant JOBS so the
   // next region may safely re-seed every deque.
   pool_->wait_all();
-  collect_region_stats();
+  collect_region_stats(outermost);
 }
 
 void WorkStealingScheduler::parallel_range(
@@ -343,16 +348,17 @@ void WorkStealingScheduler::parallel_range(
   const std::size_t n = end - begin;
   const std::size_t max_chunks = std::max<std::size_t>(1, n / min_chunk);
   // Mild over-decomposition (2 blocks per participant) so a late-arriving
-  // thief still finds work without per-element task overhead.
-  const std::size_t num_tasks = std::min(width_ * 2, max_chunks);
+  // thief still finds work without per-element task overhead. Without a
+  // pool the range stays one block.
+  const std::size_t num_tasks =
+      width_ > 1 ? std::min(width_ * 2, max_chunks) : 1;
   if (num_tasks <= 1) {
-    StopWatch watch;
-    body(begin, end);
-    const double sec = watch.elapsed_sec();
-    if (tl_participant.scheduler != this) {
-      stats_.tasks += 1;
-      stats_.busy_max_sec += sec;
-      stats_.busy_total_sec += sec;
+    // Inside a participant's task the block is part of that task (and the
+    // region stats belong to the driver thread): run it bare.
+    if (tl_participant.scheduler == this) {
+      body(begin, end);
+    } else {
+      run_serial(1, [&](std::size_t) { body(begin, end); });
     }
     return;
   }

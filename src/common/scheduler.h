@@ -1,5 +1,5 @@
-// Work-stealing shard scheduler: the skew-aware alternative to
-// ThreadPool::parallel_for's static contiguous chunking.
+// Work-stealing shard scheduler: the one parallel runtime of the engines
+// (ThreadPool is only its worker substrate).
 //
 // Motivation: mailbox shard sizes follow the stream's R-MAT power-law tail,
 // so a static split of the shard range leaves most workers idle while one
@@ -19,20 +19,22 @@
 //    push their sub-tasks onto the calling participant's own deque, where
 //    idle participants steal them, and the caller helps (pop own deque,
 //    steal on empty) until the nested region drains. Nested parallel work
-//    is therefore stolen, never serialized, unlike the static
-//    ThreadPool::parallel_for whose nested fallback must inline (see the
-//    deadlock note in common/thread_pool.h — that behavior is preserved for
-//    the static path).
+//    is therefore stolen, never serialized.
+//  * Without a pool (or for a single task) a region runs inline on the
+//    caller, so engines need no serial fork of their own.
 //
 // Determinism: the scheduler never changes WHAT a task computes or the
 // order of work INSIDE a task — engines keep their single-writer-per-shard
 // and fixed within-shard drain order, so embeddings are bit-identical for
-// any scheduler mode, shard count, and thread count (property-tested).
+// any shard count and thread count, pooled or not (property-tested).
 //
 // Stats: per-region task counts, steal counts (a steal = a task executed by
 // a participant other than the one it was seeded to), and per-participant
 // busy seconds accumulate between reset_stats() calls; imbalance() is the
 // busiest participant's share relative to a perfect split (1.0 = balanced).
+// Busy seconds are recorded only for the outermost region on the calling
+// thread: a region nested inside a task is already inside that task's
+// seconds.
 #pragma once
 
 #include <algorithm>
@@ -42,19 +44,16 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ripple {
 
 class ThreadPool;
 
-// Scheduler selection, surfaced to benches/examples as --scheduler=... .
-enum class SchedulerMode { kStatic, kSteal };
-
-const char* scheduler_mode_name(SchedulerMode mode);
-// Parses "static" / "steal"; dies with a message on anything else.
-SchedulerMode parse_scheduler_mode(const std::string& name);
+// Kept with its one value only because the perfbench driver still passes
+// it to the dist engine constructors; the work-stealing runtime is the only
+// parallel path.
+enum class SchedulerMode { kSteal };
 
 // Lock-free work-stealing deque (Chase & Lev 2005; the sequentially
 // consistent formulation — see the memory-ordering note in scheduler.cpp
@@ -97,7 +96,7 @@ class ChaseLevDeque {
 // is also the execution-stats block embedded in BatchResult /
 // DistBatchResult / StreamingServer::Stats / bench RunMetrics — an engine
 // resets per batch, copies the scheduler's stats in, and downstream layers
-// accumulate(). All-zero (width 0) means the static scheduler ran.
+// accumulate(). width is 1 for an engine without a pool (inline regions).
 struct SchedulerStats {
   std::uint64_t tasks = 0;   // tasks executed
   std::uint64_t steals = 0;  // executed by a non-seeded participant
@@ -144,10 +143,10 @@ class WorkStealingScheduler {
            const std::function<void(std::size_t)>& body);
 
   // Range region: splits [begin, end) into >= min_chunk stealable blocks and
-  // runs body(lo, hi) per block. The nested-capable replacement for
-  // ThreadPool::parallel_for on the stealing runtime: called from inside a
-  // task, the blocks are pushed to the caller's deque and stolen by idle
-  // participants instead of the whole range serializing inline.
+  // runs body(lo, hi) per block (one inline block without a pool). Called
+  // from inside a task, the blocks are pushed to the caller's deque and
+  // stolen by idle participants instead of the whole range serializing
+  // inline.
   void parallel_range(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t, std::size_t)>& body,
                       std::size_t min_chunk = 256);
@@ -194,7 +193,7 @@ class WorkStealingScheduler {
   void run_nested(std::size_t slot, std::size_t n,
                   std::span<const std::size_t> costs,
                   const std::function<void(std::size_t)>& body);
-  void collect_region_stats();
+  void collect_region_stats(bool record_busy);
 
   ThreadPool* pool_;
   std::size_t width_ = 1;

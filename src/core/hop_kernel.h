@@ -81,8 +81,8 @@ class RankDeltaSink {
 // `scheduler` (optional): when the caller runs as a work-stealing task, the
 // blocked Update GEMM of a hot shard is split into stealable row blocks so
 // idle participants help drain it (nested region, see common/scheduler.h).
-// Null keeps the GEMM serial — the right call for the static runtime, whose
-// nested parallel_for would inline anyway.
+// Null keeps the GEMM serial — the call for per-task-billed phases, where a
+// nested region could run other tasks inside this task's stopwatch.
 //
 // `local_row` (optional): global→local row remap for partition-owned state.
 // When non-null, agg_cache / h_prev / h_out are indexed with local_row[v]
@@ -155,9 +155,11 @@ std::uint64_t apply_hop_shard(const GnnModel& model, std::size_t l,
 // Layer-wise full inference that also fills the per-layer raw-sum aggregate
 // caches incremental engines maintain (mean's 1/deg normalization stays at
 // apply time so degree changes never invalidate a cache). store.features()
-// must already hold H^0. agg_cache is resized to one matrix per layer.
+// must already hold H^0. agg_cache is resized to one matrix per layer. The
+// Update GEMMs run their row blocks on `scheduler` (the engine's own).
 void bootstrap_with_caches(const GnnModel& model, const DynamicGraph& graph,
                            EmbeddingStore& store,
-                           std::vector<Matrix>& agg_cache, ThreadPool* pool);
+                           std::vector<Matrix>& agg_cache,
+                           WorkStealingScheduler& scheduler);
 
 }  // namespace ripple

@@ -14,11 +14,10 @@
 // Shard-parallel propagation core
 // -------------------------------
 // Each hop's mailbox is sharded by vertex hash (core/mailbox.h), and each
-// hop runs as two phases executed over the selected scheduler
-// (RippleOptions::scheduler): the work-stealing runtime submits one task
+// hop runs as two phases on the engine's work-stealing scheduler: one task
 // per shard / sender block, LPT-seeded by pending-slot counts and stolen on
-// imbalance (common/scheduler.h); the static scheduler splits the same
-// index ranges into contiguous ThreadPool::parallel_for chunks.
+// imbalance (common/scheduler.h). Without a pool the same tasks run inline
+// on the calling thread.
 //
 //  * Apply phase — shard-parallel. Each worker drains whole shards: it
 //    folds the shard's accumulated Δagg into the aggregate cache, gathers
@@ -43,8 +42,8 @@
 // cell has a single writer and receives its messages in ascending
 // sender-id order (contiguous blocks drained in order reconstruct the
 // global sort, independent of how senders block or targets hash to
-// shards). Embeddings are therefore bit-identical for ANY scheduler mode,
-// ANY shard count, and ANY thread count, including the sequential
+// shards). Embeddings are therefore bit-identical for ANY shard count and
+// ANY thread count, pooled or not, including the sequential
 // 1-shard/1-thread configuration — the scheduler only decides WHICH worker
 // runs a task, never what it computes or in what within-task order
 // (property-tested in tests/core/test_ripple_properties.cpp).
@@ -75,13 +74,6 @@ struct RippleOptions {
   // work units to balance. Embeddings do not depend on this value (see the
   // determinism note above) — it only shapes parallel granularity.
   std::size_t num_shards = 0;
-
-  // Propagation-phase scheduler. kSteal (default) submits one task per
-  // shard / sender block to the work-stealing runtime, LPT-seeded by
-  // pending-slot counts, so a power-law hot shard no longer gates the
-  // phase; kStatic keeps the contiguous parallel_for chunking. Embeddings
-  // are bit-identical either way (see the determinism note above).
-  SchedulerMode scheduler = SchedulerMode::kSteal;
 };
 
 class RippleEngine : public InferenceEngine {
@@ -105,13 +97,6 @@ class RippleEngine : public InferenceEngine {
 
   // Resolved shard count (after the num_shards=0 auto rule).
   std::size_t num_shards() const { return num_shards_; }
-
-  // Scheduler the propagation phases run on. kSteal silently degrades to
-  // the sequential path when no pool was given (nothing to steal from).
-  SchedulerMode scheduler_mode() const {
-    return stealer_ != nullptr ? SchedulerMode::kSteal
-                               : SchedulerMode::kStatic;
-  }
 
   // Test hook: layer-l aggregate cache (l in [1, L]).
   const Matrix& aggregate_cache(std::size_t l) const {
@@ -144,21 +129,16 @@ class RippleEngine : public InferenceEngine {
   // Compute-phase stage-2 task of hop l: drain target shard t of the
   // hop-(l+1) mailbox in block order.
   void drain_target_shard(std::size_t l, std::size_t t);
-  // One parallel region over [0, n) task indices on the selected scheduler
-  // (stealing with LPT cost hints, static contiguous chunks, or inline).
-  void run_phase(std::size_t n, std::span<const std::size_t> costs,
-                 const std::function<void(std::size_t)>& task);
-
   GnnModel model_;
   DynamicGraph graph_;
   EmbeddingStore store_;
   std::vector<Matrix> agg_cache_;   // [l-1] -> n x layer_in_dim(l-1) sums
   std::vector<Mailbox> mailboxes_;  // [l-1] -> hop-l mailbox
   ThreadPool* pool_;
-  // Work-stealing runtime for the propagation phases (null = static
-  // chunking / sequential). Owns the per-participant deques; reset per
-  // batch so BatchResult reports per-batch steal/imbalance stats.
-  std::unique_ptr<WorkStealingScheduler> stealer_;
+  // Work-stealing runtime for bootstrap and the propagation phases (inline
+  // without a pool). Owns the per-participant deques; reset per batch so
+  // BatchResult reports per-batch steal/imbalance stats.
+  std::unique_ptr<WorkStealingScheduler> scheduler_;
   RippleOptions options_;
   std::size_t num_shards_ = 1;
   std::uint64_t incremental_ops_ = 0;

@@ -78,8 +78,6 @@ class PendingCells {
     }
   }
 
-  bool level_ready(std::size_t level) const { return !ready_[level].empty(); }
-
   // Lowest level holding ready cells, or num_levels() when none is.
   std::size_t lowest_ready() const {
     for (std::size_t l = 0; l < ready_.size(); ++l) {

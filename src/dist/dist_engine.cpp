@@ -145,7 +145,7 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool,
-    std::unique_ptr<Transport> transport, SchedulerMode scheduler,
+    std::unique_ptr<Transport> transport, SchedulerMode /*scheduler*/,
     ExecMode mode) {
   RIPPLE_CHECK(transport != nullptr);
   RIPPLE_CHECK_MSG(transport->num_parts() == partition.num_parts(),
@@ -155,14 +155,12 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
   if (key == "ripple") {
     return std::make_unique<DistRippleEngine>(model, snapshot, features,
                                               partition, pool,
-                                              std::move(transport), scheduler,
-                                              mode);
+                                              std::move(transport), mode);
   }
   if (key == "rc") {
     return std::make_unique<DistRecomputeEngine>(model, snapshot, features,
                                                  partition, pool,
-                                                 std::move(transport),
-                                                 scheduler, mode);
+                                                 std::move(transport), mode);
   }
   throw check_error("unknown dist engine '" + key + "' (ripple|rc)");
 }

@@ -95,9 +95,9 @@ struct DistBatchResult {
   // Per-partition idle time inside an async epoch (makespan minus own
   // busy+comm on sim; measured no-progress poll time on tcp).
   std::vector<double> idle_sec;
-  // Work-stealing scheduler stats of the apply phases (all-zero on the
-  // static scheduler): see common/scheduler.h and the BSP accounting note
-  // in src/dist/README.md.
+  // Work-stealing scheduler stats of the compute phases (width 1 without a
+  // pool): see common/scheduler.h and the BSP accounting note in
+  // src/dist/README.md.
   SchedulerStats sched;
   double total_sec() const { return compute_sec + comm_sec + epoch_sec; }
   // Per-partition busy seconds this batch: the batch total minus the
@@ -202,12 +202,12 @@ class DistEngineBase {
 };
 
 // Factory keys used by the dist benches: "ripple" (incremental,
-// delta-shipping) and "rc" (full recompute, halo-pulling). `scheduler`
-// selects the apply-phase runtime: kSteal spreads a hot partition's
-// sub-tasks (mailbox shards / recompute blocks) over idle workers; kStatic
-// keeps the per-partition parallel_for chunking. Embeddings are
-// bit-identical either way. This overload runs over a SimTransport built
-// from `options`.
+// delta-shipping) and "rc" (full recompute, halo-pulling). Every engine
+// runs its compute phases on the work-stealing scheduler, which spreads a
+// hot partition's sub-tasks (mailbox shards / recompute blocks) over idle
+// pool workers. `scheduler` has one value and is ignored; it stays only for
+// the perfbench driver, which still passes it. This overload runs over a
+// SimTransport built from `options`.
 std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
 #include "dist/checkpoint.h"
@@ -19,21 +18,17 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
                                          const Matrix& features,
                                          Partition partition, ThreadPool* pool,
                                          std::unique_ptr<Transport> transport,
-                                         SchedulerMode scheduler,
                                          ExecMode mode)
     : model_(model), graph_(std::move(snapshot)),
       partition_(std::move(partition)),
       row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), mode_(mode) {
-  if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
+      transport_(std::move(transport)),
+      scheduler_(std::make_unique<WorkStealingScheduler>(pool)), mode_(mode) {
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
                    "partition covers more vertices than the snapshot");
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t num_layers = model_.num_layers();
-  x_scratch_.resize(num_parts);
   pull_index_.resize(num_parts);
   detectors_.reserve(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
@@ -46,7 +41,7 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
   // constructor returns, so steady-state residency is per-rank.
   EmbeddingStore full(model_.config(), graph_.num_vertices());
   full.features() = features;
-  layerwise_full_inference(model_, graph_, full, pool_);
+  layerwise_full_inference(model_, graph_, full, pool);
   states_.resize(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
     if (!hosts(p)) continue;
@@ -80,7 +75,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
   // transport (tcp) switches every phase to this rank's real wall clock.
   const BspTiming timing = bsp_timing_of(*transport_);
   result.comm_measured = transport_->measures_time();
-  if (stealer_ != nullptr) stealer_->reset_stats();
+  scheduler_->reset_stats();
   result.barrier_wait_sec.assign(num_parts, 0.0);
   result.idle_sec.assign(num_parts, 0.0);
   // Modeled runs attribute each compute phase's per-partition barrier stall
@@ -140,7 +135,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
     result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
     result.wire_messages = transport_->wire_messages() - wire_messages_before;
     fill_robustness(result);
-    if (stealer_ != nullptr) result.sched = stealer_->stats();
+    result.sched = scheduler_->stats();
     return result;
   }
 
@@ -214,70 +209,55 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
                                  st.layer(l + 1).row(r));
       model_.apply_activation_row(l, st.layer(l + 1).row(r));
     };
-    if (stealer_ != nullptr) {
-      // One stealable task per block of a hosted partition's owned affected
-      // vertices, costed by Σ in-degree — the pull work InkStream observes
-      // is concentrated on a few high-degree vertices. A hot partition's
-      // endpoint is the W-worker makespan bound over its blocks
-      // (dist/bsp.h).
-      std::vector<std::vector<VertexId>> owned(num_parts);
-      for (const VertexId v : affected[l]) {
-        const std::uint32_t p = owner(v);
-        if (hosts(p)) owned[p].push_back(v);
-      }
-      constexpr std::size_t kBlock = 64;
-      struct Block {
-        std::uint32_t part;
-        std::size_t lo, hi;
-      };
-      std::vector<Block> blocks;
-      std::vector<PartTask> tasks;
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
-          const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
-          std::size_t cost = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            cost += graph_.in_degree(owned[p][i]) + 1;
-          }
-          blocks.push_back({static_cast<std::uint32_t>(p), lo, hi});
-          tasks.push_back({static_cast<std::uint32_t>(p), cost});
-        }
-      }
-      if (block_scratch_.size() < blocks.size()) {
-        block_scratch_.resize(blocks.size());
-      }
-      result.compute_sec += timed_over_part_tasks(
-          *stealer_, num_parts, tasks,
-          [&](std::size_t i) {
-            const Block& block = blocks[i];
-            std::vector<float>& x_scratch = block_scratch_[i];
-            x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-            for (std::size_t j = block.lo; j < block.hi; ++j) {
-              recompute_row(block.part, owned[block.part][j], x_scratch);
-            }
-          },
-          timing, wait);
-    } else {
-      result.compute_sec += timed_over_parts(
-          pool_, num_parts,
-          [&](std::size_t p) {
-            if (!hosts(p)) return;
-            auto& x_scratch = x_scratch_[p];
-            x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-            for (const VertexId v : affected[l]) {
-              if (owner(v) != p) continue;
-              recompute_row(p, v, x_scratch);
-            }
-          },
-          timing, wait);
+    // One stealable task per block of a hosted partition's owned affected
+    // vertices, costed by Σ in-degree — the pull work InkStream observes
+    // is concentrated on a few high-degree vertices. A hot partition's
+    // endpoint is the W-worker makespan bound over its blocks
+    // (dist/bsp.h).
+    std::vector<std::vector<VertexId>> owned(num_parts);
+    for (const VertexId v : affected[l]) {
+      const std::uint32_t p = owner(v);
+      if (hosts(p)) owned[p].push_back(v);
     }
+    constexpr std::size_t kBlock = 64;
+    struct Block {
+      std::uint32_t part;
+      std::size_t lo, hi;
+    };
+    std::vector<Block> blocks;
+    std::vector<PartTask> tasks;
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
+        const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
+        std::size_t cost = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          cost += graph_.in_degree(owned[p][i]) + 1;
+        }
+        blocks.push_back({static_cast<std::uint32_t>(p), lo, hi});
+        tasks.push_back({static_cast<std::uint32_t>(p), cost});
+      }
+    }
+    if (block_scratch_.size() < blocks.size()) {
+      block_scratch_.resize(blocks.size());
+    }
+    result.compute_sec += timed_over_part_tasks(
+        *scheduler_, num_parts, tasks,
+        [&](std::size_t i) {
+          const Block& block = blocks[i];
+          std::vector<float>& x_scratch = block_scratch_[i];
+          x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
+          for (std::size_t j = block.lo; j < block.hi; ++j) {
+            recompute_row(block.part, owned[block.part][j], x_scratch);
+          }
+        },
+        timing, wait);
   }
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();
   result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
   result.wire_messages = transport_->wire_messages() - wire_messages_before;
   fill_robustness(result);
-  if (stealer_ != nullptr) result.sched = stealer_->stats();
+  result.sched = scheduler_->stats();
   return result;
 }
 
@@ -471,50 +451,39 @@ bool DistRecomputeEngine::rank_step(std::size_t q) {
   const std::size_t num_layers = model_.num_layers();
   if (!as.cells.idle()) {
     progress = true;
-    if (stealer_ != nullptr) {
-      // Serial refill between waves does the bookkeeping (deferred row
-      // sends, downstream credits) and hands the next ready wave's blocks
-      // to the stealing scheduler; rows are independent, so neither block
-      // shape nor steal order can change the bits.
-      constexpr std::size_t kBlock = 64;
-      std::size_t cur_hop = 0;
-      std::vector<VertexId> wave;
-      std::vector<std::pair<std::size_t, std::size_t>> blocks;
-      bool have_wave = false;
-      stealer_->drain_until_quiet(
-          [&]() -> std::size_t {
-            if (have_wave) finish_cells(q, cur_hop, wave);
-            const std::size_t l = as.cells.lowest_ready();
-            if (l >= num_layers) return 0;
-            cur_hop = l;
-            wave = as.cells.take_ready(l);
-            have_wave = true;
-            blocks.clear();
-            for (std::size_t lo = 0; lo < wave.size(); lo += kBlock) {
-              blocks.push_back({lo, std::min(wave.size(), lo + kBlock)});
-            }
-            if (block_scratch_.size() < blocks.size()) {
-              block_scratch_.resize(blocks.size());
-            }
-            return blocks.size();
-          },
-          [&](std::size_t i) {
-            std::vector<float>& x_scratch = block_scratch_[i];
-            x_scratch.assign(model_.config().layer_in_dim(cur_hop), 0.0f);
-            for (std::size_t j = blocks[i].first; j < blocks[i].second; ++j) {
-              recompute_cell(q, cur_hop, wave[j], x_scratch);
-            }
-          });
-    } else {
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        if (!as.cells.level_ready(l)) continue;
-        const std::vector<VertexId> wave = as.cells.take_ready(l);
-        auto& x_scratch = x_scratch_[q];
-        x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-        for (const VertexId v : wave) recompute_cell(q, l, v, x_scratch);
-        finish_cells(q, l, wave);
-      }
-    }
+    // Serial refill between waves does the bookkeeping (deferred row
+    // sends, downstream credits) and hands the next ready wave's blocks
+    // to the stealing scheduler; rows are independent, so neither block
+    // shape nor steal order can change the bits.
+    constexpr std::size_t kBlock = 64;
+    std::size_t cur_hop = 0;
+    std::vector<VertexId> wave;
+    std::vector<std::pair<std::size_t, std::size_t>> blocks;
+    bool have_wave = false;
+    scheduler_->drain_until_quiet(
+        [&]() -> std::size_t {
+          if (have_wave) finish_cells(q, cur_hop, wave);
+          const std::size_t l = as.cells.lowest_ready();
+          if (l >= num_layers) return 0;
+          cur_hop = l;
+          wave = as.cells.take_ready(l);
+          have_wave = true;
+          blocks.clear();
+          for (std::size_t lo = 0; lo < wave.size(); lo += kBlock) {
+            blocks.push_back({lo, std::min(wave.size(), lo + kBlock)});
+          }
+          if (block_scratch_.size() < blocks.size()) {
+            block_scratch_.resize(blocks.size());
+          }
+          return blocks.size();
+        },
+        [&](std::size_t i) {
+          std::vector<float>& x_scratch = block_scratch_[i];
+          x_scratch.assign(model_.config().layer_in_dim(cur_hop), 0.0f);
+          for (std::size_t j = blocks[i].first; j < blocks[i].second; ++j) {
+            recompute_cell(q, cur_hop, wave[j], x_scratch);
+          }
+        });
   }
   as.busy_sec += busy_watch.elapsed_sec();
 

@@ -45,7 +45,6 @@ class DistRecomputeEngine : public DistEngineBase {
   DistRecomputeEngine(const GnnModel& model, DynamicGraph snapshot,
                       const Matrix& features, Partition partition,
                       ThreadPool* pool, std::unique_ptr<Transport> transport,
-                      SchedulerMode scheduler = SchedulerMode::kSteal,
                       ExecMode mode = ExecMode::kBsp);
 
   const char* name() const override { return "dist-RC"; }
@@ -111,18 +110,15 @@ class DistRecomputeEngine : public DistEngineBase {
   // slots stay default-constructed and empty.
   std::vector<EmbeddingStore> states_;
   std::unique_ptr<Transport> transport_;  // engine code sees only the iface
-  ThreadPool* pool_;
-  // Work-stealing runtime for the recompute phase (null = static
-  // per-partition chunks): a hot partition's owned affected vertices run
-  // as degree-costed blocks stolen by idle workers; its endpoint is the
-  // W-worker makespan bound (dist/bsp.h).
-  std::unique_ptr<WorkStealingScheduler> stealer_;
+  // Work-stealing runtime for the recompute phase (inline without a pool):
+  // a hot partition's owned affected vertices run as degree-costed blocks
+  // stolen by idle workers; its endpoint is the W-worker makespan bound
+  // (dist/bsp.h).
+  std::unique_ptr<WorkStealingScheduler> scheduler_;
 
-  // Per-partition scratch: the aggregation buffer.
-  std::vector<std::vector<float>> x_scratch_;
-  // Steal-path pull buffers, one per block task (tasks of one region must
-  // not share); grown on demand, capacity reused across batches so the hot
-  // loop stays allocation-free after warm-up.
+  // Pull buffers, one per block task (tasks of one region must not share);
+  // grown on demand, capacity reused across batches so the hot loop stays
+  // allocation-free after warm-up.
   std::vector<std::vector<float>> block_scratch_;
   // Pull bookkeeping, rebuilt per hop: the (vertex, destination) pairs
   // already shipped this hop, and — per hosted partition — the received

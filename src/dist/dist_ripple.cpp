@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
 #include "dist/checkpoint.h"
@@ -22,14 +21,12 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
                                    const Matrix& features, Partition partition,
                                    ThreadPool* pool,
                                    std::unique_ptr<Transport> transport,
-                                   SchedulerMode scheduler, ExecMode mode)
+                                   ExecMode mode)
     : model_(model), graph_(std::move(snapshot)),
       partition_(std::move(partition)),
       row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), mode_(mode) {
-  if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
+      transport_(std::move(transport)),
+      scheduler_(std::make_unique<WorkStealingScheduler>(pool)), mode_(mode) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
                    "Ripple requires a linear aggregation function; got "
                        << aggregator_name(model_.config().aggregator));
@@ -47,7 +44,7 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   EmbeddingStore full(config, graph_.num_vertices());
   full.features() = features;
   std::vector<Matrix> full_cache;
-  bootstrap_with_caches(model_, graph_, full, full_cache, pool_);
+  bootstrap_with_caches(model_, graph_, full, full_cache, *scheduler_);
   const HaloIndex halo_index = build_halo_index(graph_, partition_);
 
   std::vector<std::size_t> halo_widths(num_layers);
@@ -86,8 +83,8 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
     }
   }
 
-  // One scratch per (partition, shard): with the stealing scheduler a
-  // partition's shard drains run concurrently, so they cannot share.
+  // One scratch per (partition, shard): a partition's shard drains run
+  // concurrently on a pooled scheduler, so they cannot share.
   scratch_.resize(num_parts * kShardsPerPart);
   senders_.resize(num_parts);
   delta_.resize(num_parts);
@@ -362,7 +359,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   // transport (tcp) switches every phase to this rank's real wall clock.
   const BspTiming timing = bsp_timing_of(*transport_);
   result.comm_measured = transport_->measures_time();
-  if (stealer_ != nullptr) stealer_->reset_stats();
+  scheduler_->reset_stats();
   ++batches_applied_;
   result.barrier_wait_sec.assign(num_parts, 0.0);
   result.idle_sec.assign(num_parts, 0.0);
@@ -406,7 +403,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
     result.wire_messages = transport_->wire_messages() - wire_messages_before;
     fill_robustness(result);
-    if (stealer_ != nullptr) result.sched = stealer_->stats();
+    result.sched = scheduler_->stats();
     return result;
   }
 
@@ -450,71 +447,45 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
                       is_last ? nullptr : &sink, nullptr,
                       row_map_.local_rows());
     };
-    if (stealer_ != nullptr) {
-      // Per-partition prologue (sender sort + delta sizing): its own
-      // max-endpoint mini-phase, every machine sorting its own senders.
-      const StopWatch prologue_watch;
-      std::vector<double> prologue_sec(num_parts, 0.0);
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        if (!hosts(p)) {
-          senders_[p].clear();
-          continue;
-        }
-        StopWatch watch;
-        Mailbox& box = mailbox(p, l);
-        senders_[p] =
-            is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-        if (!is_last) {
-          // no_fill: the shard drains' RankDeltaSink writes every row
-          // before the exchange reads any.
-          delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
-        }
-        prologue_sec[p] = watch.elapsed_sec();
+    // Per-partition prologue (sender sort + delta sizing): its own
+    // max-endpoint mini-phase, every machine sorting its own senders. The
+    // last hop emits no messages, so it skips the sort and the deltas.
+    const StopWatch prologue_watch;
+    std::vector<double> prologue_sec(num_parts, 0.0);
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      if (!hosts(p)) {
+        senders_[p].clear();
+        continue;
       }
-      result.compute_sec += serial_phase_cost(
-          prologue_sec, prologue_watch.elapsed_sec(), timing, wait);
-      // One stealable task per (hosted partition, shard), LPT-seeded by
-      // pending slots; a partition's endpoint is the W-worker makespan
-      // bound over its shard drains (dist/bsp.h), so a hot partition stops
-      // gating the superstep.
-      std::vector<PartTask> tasks;
-      tasks.reserve(num_parts * kShardsPerPart);
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        if (!hosts(p)) continue;
-        for (std::size_t s = 0; s < kShardsPerPart; ++s) {
-          tasks.push_back({static_cast<std::uint32_t>(p),
-                           mailbox(p, l).shard(s).size()});
-        }
+      StopWatch watch;
+      Mailbox& box = mailbox(p, l);
+      senders_[p] = is_last ? std::vector<VertexId>{} : box.sorted_vertices();
+      if (!is_last) {
+        // no_fill: the shard drains' RankDeltaSink writes every row before
+        // the exchange reads any.
+        delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
       }
-      result.compute_sec += timed_over_part_tasks(
-          *stealer_, num_parts, tasks,
-          [&](std::size_t i) {
-            drain_shard(tasks[i].part, i % kShardsPerPart);
-          },
-          timing, wait);
-    } else {
-      result.compute_sec += timed_over_parts(
-          pool_, num_parts,
-          [&](std::size_t p) {
-            if (!hosts(p)) {
-              senders_[p].clear();
-              return;
-            }
-            Mailbox& box = mailbox(p, l);
-            // The last hop emits no messages: skip sender sort and deltas.
-            senders_[p] =
-                is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-            if (!is_last) {
-              // no_fill: the shard drains' RankDeltaSink writes every row
-              // before the exchange reads any.
-              delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
-            }
-            for (std::size_t s = 0; s < box.num_shards(); ++s) {
-              drain_shard(p, s);
-            }
-          },
-          timing, wait);
+      prologue_sec[p] = watch.elapsed_sec();
     }
+    result.compute_sec += serial_phase_cost(
+        prologue_sec, prologue_watch.elapsed_sec(), timing, wait);
+    // One stealable task per (hosted partition, shard), LPT-seeded by
+    // pending slots; a partition's endpoint is the W-worker makespan
+    // bound over its shard drains (dist/bsp.h), so a hot partition stops
+    // gating the superstep.
+    std::vector<PartTask> tasks;
+    tasks.reserve(num_parts * kShardsPerPart);
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      if (!hosts(p)) continue;
+      for (std::size_t s = 0; s < kShardsPerPart; ++s) {
+        tasks.push_back({static_cast<std::uint32_t>(p),
+                         mailbox(p, l).shard(s).size()});
+      }
+    }
+    result.compute_sec += timed_over_part_tasks(
+        *scheduler_, num_parts, tasks,
+        [&](std::size_t i) { drain_shard(tasks[i].part, i % kShardsPerPart); },
+        timing, wait);
 
     if (!is_last) {
       // Exchange: each changed vertex's COMMITTED new H^l row goes ONCE to
@@ -618,8 +589,19 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
           }
         }
       };
-      result.compute_sec +=
-          timed_over_parts(pool_, num_parts, seed_part, timing, wait);
+      // One task per hosted partition: each endpoint is that partition's
+      // seed seconds, the same max rule as any one-task-per-machine phase.
+      std::vector<PartTask> seed_tasks;
+      for (std::size_t q = 0; q < num_parts; ++q) {
+        if (!hosts(q)) continue;
+        seed_tasks.push_back({static_cast<std::uint32_t>(q),
+                              senders_[q].size() +
+                                  transport_->inbox(q).messages.size()});
+      }
+      result.compute_sec += timed_over_part_tasks(
+          *scheduler_, num_parts, seed_tasks,
+          [&](std::size_t i) { seed_part(seed_tasks[i].part); }, timing,
+          wait);
     }
     for (std::size_t p = 0; p < num_parts; ++p) {
       if (hosts(p)) mailbox(p, l).clear();
@@ -629,7 +611,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
   result.wire_messages = transport_->wire_messages() - wire_messages_before;
   fill_robustness(result);
-  if (stealer_ != nullptr) result.sched = stealer_->stats();
+  result.sched = scheduler_->stats();
   return result;
 }
 
@@ -769,7 +751,7 @@ void DistRippleEngine::build_wave_box(std::size_t q, std::size_t l,
   const std::size_t in_dim = model_.config().layer_in_dim(l - 1);
   const bool is_last = l == model_.num_layers();
   const bool self_dep = l >= 2 && model_.layer(l - 1).uses_self();
-  wave_box_ = Mailbox(in_dim, stealer_ != nullptr ? kShardsPerPart : 1);
+  wave_box_ = Mailbox(in_dim, kShardsPerPart);
   const Mailbox& seeds = mailbox(q, l);
   for (const VertexId v : wave) {
     // Reproduce the BSP cell bit-for-bit: superstep-U seed bits first (a
@@ -883,31 +865,21 @@ bool DistRippleEngine::rank_step(std::size_t q) {
   const std::size_t num_layers = model_.num_layers();
   if (!as.cells.idle()) {
     progress = true;
-    if (stealer_ != nullptr) {
-      // Serial refill between waves does the post-wave bookkeeping (delta
-      // store, row sends, credits) and hands the next ready wave's shard
-      // drains to the stealing scheduler.
-      std::size_t cur_hop = 0;
-      stealer_->drain_until_quiet(
-          [&]() -> std::size_t {
-            if (cur_hop != 0) finish_wave(q, cur_hop);
-            const std::size_t l = as.cells.lowest_ready();
-            if (l > num_layers) return 0;
-            cur_hop = l;
-            build_wave_box(q, l, as.cells.take_ready(l));
-            return wave_box_.num_shards();
-          },
-          [&](std::size_t s) { drain_wave_shard(q, cur_hop, s); });
-    } else {
-      for (std::size_t l = 1; l <= num_layers; ++l) {
-        if (!as.cells.level_ready(l)) continue;
-        build_wave_box(q, l, as.cells.take_ready(l));
-        for (std::size_t s = 0; s < wave_box_.num_shards(); ++s) {
-          drain_wave_shard(q, l, s);
-        }
-        finish_wave(q, l);
-      }
-    }
+    // Serial refill between waves does the post-wave bookkeeping (delta
+    // store, row sends, credits) and hands the next ready wave's shard
+    // drains to the stealing scheduler.
+    std::size_t cur_hop = 0;
+    scheduler_->drain_until_quiet(
+        [&]() -> std::size_t {
+          if (cur_hop != 0) finish_wave(q, cur_hop);
+          const std::size_t l = as.cells.lowest_ready();
+          if (l > num_layers) return 0;
+          cur_hop = l;
+          build_wave_box(q, l, as.cells.take_ready(l));
+          return wave_box_.num_shards();
+        },
+        [&](std::size_t s) { drain_wave_shard(q, cur_hop, s); });
+
   }
   as.busy_sec += busy_watch.elapsed_sec();
 

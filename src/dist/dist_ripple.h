@@ -86,7 +86,6 @@ class DistRippleEngine : public DistEngineBase {
   DistRippleEngine(const GnnModel& model, DynamicGraph snapshot,
                    const Matrix& features, Partition partition,
                    ThreadPool* pool, std::unique_ptr<Transport> transport,
-                   SchedulerMode scheduler = SchedulerMode::kSteal,
                    ExecMode mode = ExecMode::kBsp);
 
   const char* name() const override { return "dist-Ripple"; }
@@ -223,12 +222,11 @@ class DistRippleEngine : public DistEngineBase {
   LocalRowMap row_map_;  // stable global→local owned-row addressing
   std::vector<RankState> states_;         // per partition; hosted only
   std::unique_ptr<Transport> transport_;  // engine code sees only the iface
-  ThreadPool* pool_;
-  // Work-stealing runtime for the apply phase (null = static per-partition
-  // chunks): a hot partition's mailbox-shard drains spread over idle
-  // workers, and its modeled endpoint shrinks from the serial shard sum to
-  // the W-worker makespan bound (dist/bsp.h).
-  std::unique_ptr<WorkStealingScheduler> stealer_;
+  // Work-stealing runtime for every compute phase (inline without a pool):
+  // a hot partition's mailbox-shard drains spread over idle workers, and
+  // its modeled endpoint shrinks from the serial shard sum to the W-worker
+  // makespan bound (dist/bsp.h).
+  std::unique_ptr<WorkStealingScheduler> scheduler_;
 
   // Per-partition hop state, reused across batches.
   std::vector<HopShardScratch> scratch_;        // one per (part, shard)

@@ -37,8 +37,8 @@ struct BatchResult {
   double apply_phase_sec = 0;    // Σ hops: mailbox drain + blocked GEMMs
   double compute_phase_sec = 0;  // Σ hops: Δh scatter into next-hop mailbox
   // Work-stealing scheduler stats for this batch (common/scheduler.h);
-  // all-zero when the static scheduler ran or the engine has no parallel
-  // propagation core (it has no per-participant accounting).
+  // width 1 for an engine without a pool, all-zero for an engine with no
+  // parallel propagation core (it has no per-participant accounting).
   SchedulerStats sched;
   double total_sec() const { return update_sec + propagate_sec; }
 };

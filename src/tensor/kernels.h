@@ -14,7 +14,7 @@
 //          pre-AVX2 x86-64 hosts)
 //
 // The selection is overridable with --kernels=auto|scalar (threaded through
-// Flags by the benches/examples, exactly like --scheduler) and forceable at
+// Flags by the benches/examples) and forceable at
 // build time with -DRIPPLE_KERNELS=scalar (ci.sh runs a forced-scalar unit
 // tier so the portable path stays tested on SIMD hosts).
 //
@@ -33,7 +33,7 @@
 // Kernel TUs are built with -ffp-contract=off so the scalar tier cannot be
 // FMA-contracted out from under the contract on -march=native builds.
 // Consequence: --kernels=scalar and --kernels=auto produce bit-identical
-// embeddings (property-tested across engines × shards × parts × scheduler
+// embeddings (property-tested across engines × shards × parts × pool on/off
 // × transport), and all pre-existing zero-tolerance exactness suites hold
 // unchanged.
 //

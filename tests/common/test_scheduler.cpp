@@ -7,13 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 
 namespace ripple {
 namespace {
@@ -143,8 +144,7 @@ TEST(WorkStealingScheduler, SerialWithoutPool) {
 TEST(WorkStealingScheduler, NestedRunExecutesAndStealsSubTasks) {
   // A task that opens a nested region must see every sub-task execute
   // exactly once — and the runtime must stay live (no deadlock) even when
-  // every outer task nests. This is the stealing replacement for the
-  // static parallel_for's inline-only nested fallback.
+  // every outer task nests.
   ThreadPool pool(4);
   WorkStealingScheduler scheduler(&pool);
   constexpr std::size_t kOuter = 12;
@@ -260,12 +260,82 @@ TEST(WorkStealingScheduler, ManyConsecutiveRegionsStaySound) {
   }
 }
 
-TEST(SchedulerMode, ParseAndName) {
-  EXPECT_EQ(parse_scheduler_mode("static"), SchedulerMode::kStatic);
-  EXPECT_EQ(parse_scheduler_mode("steal"), SchedulerMode::kSteal);
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kStatic), "static");
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kSteal), "steal");
-  EXPECT_THROW(parse_scheduler_mode("bogus"), check_error);
+TEST(WorkStealingScheduler, ParallelRangeEmptyRangeIsNoop) {
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    WorkStealingScheduler scheduler(p);
+    bool ran = false;
+    scheduler.parallel_range(5, 5, [&](std::size_t, std::size_t) {
+      ran = true;
+    });
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(scheduler.stats().tasks, 0u);
+  }
+}
+
+TEST(WorkStealingScheduler, ParallelRangeIsOneBlockBelowMinChunkOrWithoutPool) {
+  ThreadPool pool(4);
+  WorkStealingScheduler pooled(&pool);
+  WorkStealingScheduler inline_only(nullptr);
+  const auto blocks = [](WorkStealingScheduler& scheduler, std::size_t n) {
+    std::atomic<int> calls{0};
+    std::atomic<std::size_t> covered{0};
+    scheduler.parallel_range(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          calls.fetch_add(1);
+          covered.fetch_add(hi - lo);
+        },
+        256);
+    EXPECT_EQ(covered.load(), n);
+    return calls.load();
+  };
+  EXPECT_EQ(blocks(pooled, 10), 1);         // tiny range: one inline block
+  EXPECT_GT(blocks(pooled, 10000), 1);      // split over the participants
+  EXPECT_EQ(blocks(inline_only, 10000), 1);  // no pool: never split
+}
+
+TEST(WorkStealingScheduler, RegionFromPoolWorkerRunsInline) {
+  // A region opened by a pool worker that is not a participant must run
+  // inline: submitting participant jobs and blocking in wait_all() there
+  // would park the worker behind its own queue.
+  ThreadPool pool(2);
+  WorkStealingScheduler scheduler(&pool);
+  std::vector<std::atomic<int>> hits(4096);
+  pool.submit([&] {
+    scheduler.parallel_range(
+        0, hits.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+        },
+        1);
+  });
+  pool.wait_all();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkStealingScheduler, NestedRegionBusyTimeIsNotDoubleCounted) {
+  // One outer task opens a 4 x 10 ms nested region. The nested seconds are
+  // inside the outer task's seconds, so busy time can never exceed what
+  // width participants could have been busy during the wall clock.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    WorkStealingScheduler scheduler(p);
+    StopWatch wall;
+    scheduler.run(1, {}, [&](std::size_t) {
+      scheduler.run(4, {}, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      });
+    });
+    const double wall_sec = wall.elapsed_sec();
+    const SchedulerStats& stats = scheduler.stats();
+    EXPECT_EQ(stats.tasks, 5u);
+    EXPECT_GT(stats.busy_total_sec, 0.0);
+    EXPECT_LE(stats.busy_total_sec,
+              static_cast<double>(stats.width) * wall_sec)
+        << "width " << stats.width;
+    EXPECT_LE(stats.busy_max_sec, wall_sec);
+  }
 }
 
 }  // namespace

@@ -91,7 +91,9 @@ TEST(DistAsync, FixedPointBitIdenticalUnderDeliverySkew) {
   }
 }
 
-TEST(DistAsync, StealSchedulerMatchesStaticBits) {
+TEST(DistAsync, PooledSchedulerMatchesInlineBits) {
+  // The async wave drains on a pooled scheduler must reproduce the inline
+  // (no-pool) engine bit for bit.
   auto c = make_rmat_case(41);
   const auto config = workload_config(Workload::gc_m, 8, 4, 2, 10);
   const auto model = GnnModel::random(config, 43);
@@ -104,22 +106,22 @@ TEST(DistAsync, StealSchedulerMatchesStaticBits) {
   ThreadPool pool(3);
   for (const char* key : {"ripple", "rc"}) {
     SCOPED_TRACE(key);
-    auto steal =
+    auto pooled =
         make_dist_engine(key, model, c.snapshot, c.features, partition, &pool,
                          options, SchedulerMode::kSteal, ExecMode::kAsync);
-    auto stat =
+    auto inline_only =
         make_dist_engine(key, model, c.snapshot, c.features, partition,
-                         nullptr, options, SchedulerMode::kStatic,
+                         nullptr, options, SchedulerMode::kSteal,
                          ExecMode::kAsync);
-    std::uint64_t steal_tasks = 0;
+    std::uint64_t pooled_tasks = 0;
     for (const auto& batch : batches) {
-      const DistBatchResult sr = steal->apply_batch(batch);
-      stat->apply_batch(batch);
-      steal_tasks += sr.sched.tasks;
+      const DistBatchResult sr = pooled->apply_batch(batch);
+      inline_only->apply_batch(batch);
+      pooled_tasks += sr.sched.tasks;
     }
-    EXPECT_GT(steal_tasks, 0u);
-    EXPECT_EQ(testing::max_store_diff(steal->gather_embeddings(),
-                                      stat->gather_embeddings()),
+    EXPECT_GT(pooled_tasks, 0u);
+    EXPECT_EQ(testing::max_store_diff(pooled->gather_embeddings(),
+                                      inline_only->gather_embeddings()),
               0.0f);
   }
 }

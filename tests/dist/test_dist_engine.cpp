@@ -65,38 +65,30 @@ TEST(DistExactness, BitIdenticalToSingleMachineForAnyPartsAndThreads) {
     for (const std::size_t num_parts : {1, 2, 4}) {
       auto partition = ldg_partition(c.snapshot, num_parts);
       refine_partition(c.snapshot, partition, 1);
-      for (const SchedulerMode scheduler :
-           {SchedulerMode::kStatic, SchedulerMode::kSteal}) {
-        for (const bool use_pool : {false, true}) {
-          SCOPED_TRACE(std::to_string(num_parts) + " parts, " +
-                       scheduler_mode_name(scheduler) + ", pool " +
-                       (use_pool ? "on" : "off"));
-          ThreadPool pool(3);
-          ThreadPool* p = use_pool ? &pool : nullptr;
-          auto dist_ripple =
-              make_dist_engine("ripple", model, c.snapshot, c.features,
-                               partition, p, default_transport_options(),
-                               scheduler);
-          auto dist_rc =
-              make_dist_engine("rc", model, c.snapshot, c.features,
-                               partition, p, default_transport_options(),
-                               scheduler);
-          for (const auto& batch : batches) {
-            dist_ripple->apply_batch(batch);
-            dist_rc->apply_batch(batch);
-          }
-          // Bit-identical to the single-machine counterparts...
-          EXPECT_EQ(testing::max_store_diff(ripple_ref.embeddings(),
-                                            dist_ripple->gather_embeddings()),
-                    0.0f);
-          EXPECT_EQ(testing::max_store_diff(rc_ref.embeddings(),
-                                            dist_rc->gather_embeddings()),
-                    0.0f);
-          // ...and cross-engine agreement within FP tolerance.
-          EXPECT_LT(testing::max_store_diff(dist_ripple->gather_embeddings(),
-                                            dist_rc->gather_embeddings()),
-                    1e-3f);
+      for (const bool use_pool : {false, true}) {
+        SCOPED_TRACE(std::to_string(num_parts) + " parts, pool " +
+                     (use_pool ? "on" : "off"));
+        ThreadPool pool(3);
+        ThreadPool* p = use_pool ? &pool : nullptr;
+        auto dist_ripple = make_dist_engine("ripple", model, c.snapshot,
+                                            c.features, partition, p);
+        auto dist_rc = make_dist_engine("rc", model, c.snapshot, c.features,
+                                        partition, p);
+        for (const auto& batch : batches) {
+          dist_ripple->apply_batch(batch);
+          dist_rc->apply_batch(batch);
         }
+        // Bit-identical to the single-machine counterparts...
+        EXPECT_EQ(testing::max_store_diff(ripple_ref.embeddings(),
+                                          dist_ripple->gather_embeddings()),
+                  0.0f);
+        EXPECT_EQ(testing::max_store_diff(rc_ref.embeddings(),
+                                          dist_rc->gather_embeddings()),
+                  0.0f);
+        // ...and cross-engine agreement within FP tolerance.
+        EXPECT_LT(testing::max_store_diff(dist_ripple->gather_embeddings(),
+                                          dist_rc->gather_embeddings()),
+                  1e-3f);
       }
     }
   }
@@ -165,32 +157,32 @@ TEST(DistExactness, CountersMatchSingleMachine) {
 }
 
 TEST(DistExactness, StealSchedulerReportsStats) {
-  // Pooled dist engines default to the stealing scheduler and must surface
-  // its width/task counters through DistBatchResult; the static scheduler
-  // leaves them zeroed.
+  // Every dist engine runs on the stealing scheduler and must surface its
+  // width/task counters through DistBatchResult — pooled, and inline
+  // (width 1) without a pool.
   auto c = make_rmat_case(41);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 10);
   const auto model = GnnModel::random(config, 43);
   const auto partition = ldg_partition(c.snapshot, 2);
   ThreadPool pool(2);
-  auto steal = make_dist_engine("ripple", model, c.snapshot, c.features,
-                                partition, &pool);
-  auto stat = make_dist_engine("ripple", model, c.snapshot, c.features,
-                               partition, &pool, default_transport_options(),
-                               SchedulerMode::kStatic);
-  std::uint64_t steal_tasks = 0;
-  std::uint64_t static_tasks = 0;
-  std::size_t steal_width = 0;
-  for (const auto& batch : make_batches(c.stream, 10)) {
-    const DistBatchResult sr = steal->apply_batch(batch);
-    const DistBatchResult tr = stat->apply_batch(batch);
-    steal_tasks += sr.sched.tasks;
-    static_tasks += tr.sched.tasks;
-    steal_width = std::max(steal_width, sr.sched.width);
+  for (const std::string key : {"ripple", "rc"}) {
+    SCOPED_TRACE(key);
+    auto pooled = make_dist_engine(key, model, c.snapshot, c.features,
+                                   partition, &pool);
+    auto inline_only = make_dist_engine(key, model, c.snapshot, c.features,
+                                        partition, nullptr);
+    SchedulerStats pooled_stats;
+    SchedulerStats inline_stats;
+    for (const auto& batch : make_batches(c.stream, 10)) {
+      pooled_stats.accumulate(pooled->apply_batch(batch).sched);
+      inline_stats.accumulate(inline_only->apply_batch(batch).sched);
+    }
+    EXPECT_GT(pooled_stats.tasks, 0u);
+    EXPECT_EQ(pooled_stats.width, 3u);  // 2 workers + the driver
+    EXPECT_GT(inline_stats.tasks, 0u);
+    EXPECT_EQ(inline_stats.width, 1u);
+    EXPECT_EQ(inline_stats.steals, 0u);
   }
-  EXPECT_GT(steal_tasks, 0u);
-  EXPECT_EQ(steal_width, 3u);  // 2 workers + the driver
-  EXPECT_EQ(static_tasks, 0u);
 }
 
 // ---- transport accounting: hand-computed on a 4-vertex 2-part graph ----

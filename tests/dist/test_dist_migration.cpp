@@ -295,7 +295,7 @@ TEST(DistMigration, SkewProposedPlansOnDriftStreamStayExact) {
     auto engine = make_dist_engine("ripple", model, scenario.snapshot,
                                    features, partition, nullptr,
                                    default_transport_options(),
-                                   SchedulerMode::kStatic, mode);
+                                   SchedulerMode::kSteal, mode);
     SkewSignal signal;
     MigrationOptions options;
     options.hot_factor = 1.0;  // eager: migrate on any measurable skew
