@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for three design choices:
 //   1. Zero-delta pruning (off in the paper — "Ripple does not perform
 //      pruning"): measures what the faithful no-pruning choice costs when
 //      ReLU produces zero deltas.
@@ -18,9 +18,7 @@ int main(int argc, char** argv) {
   const double scale = flags.get_double("scale", quick ? 0.05 : 0.15);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   set_log_level(log_level::warn);
-#if RIPPLE_HAS_DIST
   set_transport_options(TransportOptions::from_flags(flags));
-#endif
 
   // ---- 1. Pruning ablation ----
   bench::print_header("Ablation 1: zero-delta pruning (paper default: off)");
@@ -47,7 +45,6 @@ int main(int argc, char** argv) {
 
   // ---- 2. Partitioner ablation ----
   bench::print_header("Ablation 2: hash vs LDG+refine partitioning");
-#if RIPPLE_HAS_DIST
   {
     const auto prepared =
         bench::prepare("papers-s", scale * 0.6, quick ? 200 : 1000, seed);
@@ -79,16 +76,10 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-#else
-  std::printf("skipped: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-#endif
-
   // ---- 3. Halo stub combining ----
   bench::print_header(
       "Ablation 3: halo stub mailboxes (one combined message per remote "
       "target per superstep)");
-#if RIPPLE_HAS_DIST
   {
     const auto prepared =
         bench::prepare("products-s", scale, quick ? 200 : 1000, seed);
@@ -108,9 +99,5 @@ int main(int argc, char** argv) {
         "mailbox is the paper's §5.1 design)\n",
         run.wire_messages, run.wire_bytes, run.num_batches);
   }
-#else
-  std::printf("skipped: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-#endif
   return 0;
 }

@@ -1,35 +1,23 @@
 // Shared harness for the distributed benches (Figs. 12, 13).
-//
-// The distributed runtime (src/dist) is a planned follow-up (see ROADMAP.md
-// open items); until it lands, the engine-dependent helpers here are gated
-// on its header so the dist benches compile into informative stubs.
 #pragma once
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "partition/partition.h"
-
-#if __has_include("dist/dist_engine.h")
-#define RIPPLE_HAS_DIST 1
 #include "dist/dist_engine.h"
 #include "dist/tcp_transport.h"
-#else
-#define RIPPLE_HAS_DIST 0
-#endif
+#include "partition/partition.h"
 
 namespace ripple::bench {
 
 // Builds the LDG+refine partition used by all distributed benches (the
-// METIS substitution; see DESIGN.md).
+// METIS substitution; see src/partition/partition.h).
 inline Partition make_partition(const DynamicGraph& graph,
                                 std::size_t num_parts) {
   auto partition = ldg_partition(graph, num_parts);
   refine_partition(graph, partition, 2);
   return partition;
 }
-
-#if RIPPLE_HAS_DIST
 
 // Run-shape selection shared by the dist benches and the distributed
 // example: --transport=sim (default, modeled cost) or --transport=tcp
@@ -113,8 +101,8 @@ struct DistRunMetrics {
   // per-rank footprint that must SHRINK as partitions are added.
   std::size_t rank_memory_bytes = 0;
   // Per-rank busy seconds accumulated across the run
-  // (DistBatchResult::busy_share_sec) — the skew detector's evidence and
-  // fig12's per-rank busy-share column.
+  // (DistBatchResult::busy_share_sec) — fig12's per-rank busy-share
+  // column.
   std::vector<double> busy_sec;
 
   // Worst rank's busy share over the ideal share (1.0 == balanced); the
@@ -173,7 +161,5 @@ inline DistRunMetrics run_dist_stream(DistEngineBase& engine,
   metrics.rank_memory_bytes = engine.memory_bytes();
   return metrics;
 }
-
-#endif  // RIPPLE_HAS_DIST
 
 }  // namespace ripple::bench

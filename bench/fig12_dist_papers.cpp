@@ -12,13 +12,6 @@
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("fig12: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -120,7 +113,7 @@ int main(int argc, char** argv) try {
   // exists to shrink (docs/async.md).
   // "Balance" is the structural vertex-count balance of the partition;
   // "busy skew" is the worst rank's accumulated busy share over the ideal
-  // (1.00 == perfectly even load) — the skew detector's trigger quantity.
+  // (1.00 == perfectly even load), accumulated from busy_share_sec.
   TextTable table({"Parts", "Edge cut", "Balance", "RC up/s", "Ripple up/s",
                    "RC comp (s)", "RC comm (s)", "RP comp (s)", "RP comm (s)",
                    "RC stall (s)", "RP stall (s)", "RC bytes", "RP bytes",
@@ -211,4 +204,3 @@ int main(int argc, char** argv) try {
 } catch (const check_error& e) {
   return report_fatal_error("fig12", e);
 }
-#endif  // RIPPLE_HAS_DIST

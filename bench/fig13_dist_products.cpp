@@ -10,13 +10,6 @@
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("fig13: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -125,4 +118,3 @@ int main(int argc, char** argv) try {
 } catch (const check_error& e) {
   return report_fatal_error("fig13", e);
 }
-#endif  // RIPPLE_HAS_DIST

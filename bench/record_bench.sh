@@ -19,18 +19,13 @@
 #     (docs/fault_tolerance.md): the periodic checkpoint tax
 #     (checkpoint_write_sec, checkpoint_bytes) and the recovery cost
 #     (restore_sec + recovery_replay_sec), each row bit-verifying the
-#     recovered embeddings against the uninterrupted run ("exact":true);
-#   * bench_drift_scenario --json (drifting-hot-region scenario,
-#     docs/repartition.md): static partitioning vs online migration on the
-#     same stream, one row per policy — the committed record that the
-#     migrated run beats static on BOTH modeled makespan and peak max-rank
-#     memory_bytes while computing bit-identical embeddings. Full (not
-#     --quick) scale: the win needs enough windows for the static cut to
-#     accumulate, and the whole run is tens of milliseconds.
+#     recovered embeddings against the uninterrupted run ("exact":true).
 #
-# Output is one JSON document: header with the machine's dispatched kernel
-# tier + host info, then "runs": the JSON-lines rows scraped verbatim from
-# the benches. Rerun after kernel work and commit the diff:
+# Output is one JSON document: a header fingerprinting the run (git commit,
+# the build dir's CMAKE_BUILD_TYPE and CMAKE_CXX_FLAGS, the machine's
+# dispatched kernel tier, host info), then "runs": the JSON-lines rows
+# scraped verbatim from the benches. Rerun after kernel work and commit
+# the diff:
 #
 #   ./bench/record_bench.sh            # writes BENCH_kernels.json
 #   ./bench/record_bench.sh out.json   # alternate output path
@@ -42,7 +37,7 @@ build="${BUILD_DIR:-build}"
 out="${1:-BENCH_kernels.json}"
 
 for bin in bench_micro_kernels bench_parallel_scaling \
-           bench_fig12_dist_papers bench_recovery bench_drift_scenario; do
+           bench_fig12_dist_papers bench_recovery; do
   if [[ ! -x "$build/$bin" ]]; then
     echo "record_bench.sh: $build/$bin not found — build the benches first" \
          "(cmake -B $build -S . && cmake --build $build -j)" >&2
@@ -71,18 +66,32 @@ for mode in bsp async; do
     >>"$rows_file" 2>>"$diag_file"
 done
 
-"$build/bench_drift_scenario" --json >>"$rows_file" 2>>"$diag_file"
-
 # micro_kernels prints "dispatched tier=<isa>" on stderr; that is the
 # machine's auto-dispatch answer (avx512/avx2/scalar).
 tier="$(sed -n 's/.*dispatched tier=\([a-z0-9]*\).*/\1/p' "$diag_file" \
         | head -1)"
 cpu="$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null | head -1)"
 compiler="$(${CXX:-g++} --version 2>/dev/null | head -1)"
+# "-dirty": recorded from a tree with uncommitted changes on top of HEAD.
+commit="$(git rev-parse --short HEAD 2>/dev/null || true)"
+if [[ -n "$commit" ]] && ! git diff --quiet HEAD 2>/dev/null; then
+  commit="$commit-dirty"
+fi
+# Build settings of the binaries actually run, from the build dir's cache.
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "$build/CMakeCache.txt" 2>/dev/null | head -1
+}
+# An empty cached build type means Release: CMakeLists.txt defaults it.
+build_type="$(cache_value CMAKE_BUILD_TYPE)"
+build_type="${build_type:-Release}"
+cxx_flags="$(cache_value CMAKE_CXX_FLAGS)"
 
 {
   printf '{\n'
   printf '  "recorded_utc": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+  printf '  "git_commit": "%s",\n' "${commit:-unknown}"
+  printf '  "build": {"type": "%s", "cxx_flags": "%s"},\n' \
+         "$build_type" "$cxx_flags"
   printf '  "dispatched_tier": "%s",\n' "${tier:-unknown}"
   printf '  "host": {"cpu": "%s", "nproc": %s, "compiler": "%s"},\n' \
          "${cpu:-unknown}" "$(nproc)" "${compiler:-unknown}"

@@ -22,19 +22,10 @@
 #include <filesystem>
 
 #include "common/timer.h"
+#include "dist/checkpoint.h"
 #include "dist_util.h"
 
 using namespace ripple;
-
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("recovery: the distributed runtime (src/dist) is not built "
-              "yet; see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
-
-#include "dist/checkpoint.h"
 
 namespace {
 
@@ -210,4 +201,3 @@ int main(int argc, char** argv) {
       "time with write tax. \"Exact\" must read yes on every row.\n");
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

@@ -21,10 +21,7 @@ ctest --test-dir build -LE unit --output-on-failure -j "$(nproc)"
 # wire-precision conformance test (--wire-precision=bf16 halves row
 # payloads, tcp bit-identical to sim), the --mode=async conformance
 # axis (hop-stamped row frames + the Safra token ring over real sockets,
-# bit-identical to BSP and to sim; see docs/async.md), and the migration
-# conformance pass (migrate_row supersteps after every batch over real
-# sockets: re-homed ownership, gathered embeddings and per-batch counter
-# sums all bit-identical to sim; see docs/repartition.md). The fault tier
+# bit-identical to BSP and to sim; see docs/async.md). The fault tier
 # rides the same env gate: RIPPLE_TRANSPORT=tcp un-skips the forked
 # rank-kill recovery drill (tests/dist/test_rank_kill.cpp) — a real
 # SIGKILL mid-run, restore from the on-disk checkpoints, replay over real
@@ -44,16 +41,14 @@ ctest --test-dir build-tsan -L unit --output-on-failure -j "$(nproc)"
 # TSan also sweeps the async axes: the dependency-counted pending-cell
 # worklists and the Safra termination ring (--mode=async) interleave
 # stealing workers with serial credit bookkeeping, exactly the shape TSan
-# exists to check. The migration suite rides along: its supersteps run
-# between batches on the same stealing pool, so a racy rehome would
-# surface here. The fault-injection and checkpoint suites join the sweep:
+# exists to check. The fault-injection and checkpoint suites join the sweep:
 # injected drops/duplicates/corruption drive the async error paths under
 # the same stealing pool, and a race in the typed-error unwinding would be
 # invisible in a normal build. (The forked rank-kill drills stay out:
 # fork + SIGKILL under TSan's runtime is noise, and the ASan fault pass
 # below covers them.)
 ctest --test-dir build-tsan \
-  -R "dist_engine|dist_termination|dist_async|dist_migration|dist_fault_inject|dist_checkpoint" \
+  -R "dist_engine|dist_termination|dist_async|dist_fault_inject|dist_checkpoint" \
   --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the unit and

@@ -19,26 +19,13 @@
 #include "common/flags.h"
 #include "tensor/kernels.h"
 #include "common/log.h"
+#include "dist/dist_engine.h"
+#include "dist/tcp_transport.h"
 #include "graph/datasets.h"
 #include "stream/generator.h"
 
-#if __has_include("dist/dist_engine.h")
-#define RIPPLE_HAS_DIST 1
-#include "dist/dist_engine.h"
-#include "dist/tcp_transport.h"
-#else
-#define RIPPLE_HAS_DIST 0
-#endif
-
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("distributed_inference: the distributed runtime (src/dist) is "
-              "not built yet; see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -126,4 +113,3 @@ int main(int argc, char** argv) try {
 } catch (const check_error& e) {
   return report_fatal_error("distributed_inference", e);
 }
-#endif  // RIPPLE_HAS_DIST

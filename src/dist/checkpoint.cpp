@@ -94,7 +94,6 @@ void write_checkpoint_file(const std::string& dir,
   append(image, meta.num_parts);
   append(image, meta.row_width);
   append(image, meta.stream_cursor);
-  append(image, meta.partition_version);
   append(image, meta.num_vertices);
   append(image, static_cast<std::uint32_t>(meta.engine_key.size()));
   image.insert(image.end(), meta.engine_key.begin(), meta.engine_key.end());
@@ -155,7 +154,6 @@ CheckpointData read_checkpoint_file(const std::string& path) {
   meta.num_parts = r.scalar<std::uint32_t>("num_parts");
   meta.row_width = r.scalar<std::uint32_t>("row_width");
   meta.stream_cursor = r.scalar<std::uint64_t>("stream_cursor");
-  meta.partition_version = r.scalar<std::uint64_t>("partition_version");
   meta.num_vertices = r.scalar<std::uint64_t>("num_vertices");
   const auto key_len = r.scalar<std::uint32_t>("engine key length");
   r.need(key_len, "engine key");
@@ -241,8 +239,8 @@ std::optional<std::uint64_t> latest_checkpoint_cursor(const std::string& dir,
 }
 
 std::size_t ripple_checkpoint_row_width(const ModelConfig& config) {
-  // Mirrors the migration state frame: H^0..H^L then the per-hop aggregate
-  // caches (dist_ripple.cpp migrate()).
+  // The ripple engine's owned state: H^0..H^L then the per-hop aggregate
+  // caches (DistRippleEngine::write_checkpoint).
   std::size_t width = 0;
   for (std::size_t l = 0; l <= config.num_layers; ++l) {
     width += config.embedding_dim(l);

@@ -1,9 +1,8 @@
 // Deterministic per-rank checkpoint files (docs/fault_tolerance.md).
 //
-// Every K batches each rank snapshots its OWNED vertex state — the same
-// per-vertex row a migration frame ships (docs/repartition.md): committed
+// Every K batches each rank snapshots its OWNED vertex state — committed
 // H^0..H^L rows plus, for the ripple engine, the aggregate-cache rows —
-// together with the partition assignment + version and the stream cursor
+// together with the (fixed) partition assignment and the stream cursor
 // (batches applied so far). Because the whole distributed stack is
 // bit-deterministic, that is ALL recovery needs: survivors plus a
 // replacement rank rebuild the stream-prefix topology, install the
@@ -13,7 +12,7 @@
 //
 // File format (host-endian, like the wire):
 //   u64 magic  u32 version  u32 rank  u32 num_parts  u32 row_width
-//   u64 stream_cursor  u64 partition_version  u64 num_vertices
+//   u64 stream_cursor  u64 num_vertices
 //   u32 key_len + engine key bytes ("ripple" | "rc")
 //   u64 part_of_len + u32[part_of_len]     full assignment table
 //   u64 num_owned + u32[num_owned]         owned vertex ids, ascending
@@ -38,14 +37,13 @@ namespace ripple {
 struct ModelConfig;
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x31544b5043'4c5052ULL;
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 struct CheckpointMeta {
   std::string engine_key;              // "ripple" | "rc"
   std::uint64_t stream_cursor = 0;     // batches applied at snapshot time
   std::uint32_t rank = 0;
   std::uint32_t num_parts = 0;
-  std::uint64_t partition_version = 0;
   std::uint64_t num_vertices = 0;
   std::uint32_t row_width = 0;         // floats per per-vertex state row
   std::vector<std::uint32_t> part_of;  // full assignment table
@@ -81,7 +79,7 @@ CheckpointData read_checkpoint_file(const std::string& path);
 std::optional<std::uint64_t> latest_checkpoint_cursor(const std::string& dir,
                                                       std::size_t num_parts);
 
-// Per-vertex checkpoint row widths — the exact migration-frame layouts.
+// Per-vertex checkpoint row widths — the engines' owned state-row layouts.
 // ripple: H^0..H^L rows plus the per-hop aggregate-cache rows; rc: H only.
 std::size_t ripple_checkpoint_row_width(const ModelConfig& config);
 std::size_t rc_checkpoint_row_width(const ModelConfig& config);

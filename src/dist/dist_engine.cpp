@@ -83,7 +83,6 @@ EmbeddingStore gather_owned_store(
   for (std::size_t p = 1; p < num_parts; ++p) {
     if (!transport.hosts(p)) continue;
     for (const VertexId v : rows.owned(p)) {
-      if (v == kInvalidVertex) continue;  // slot retired by a migration
       std::size_t off = 0;
       for (std::size_t l = 0; l <= num_layers; ++l) {
         const auto row = owned_row(p, l, v);
@@ -101,7 +100,6 @@ EmbeddingStore gather_owned_store(
   for (std::size_t p = 0; p < num_parts; ++p) {
     if (!transport.hosts(p)) continue;
     for (const VertexId v : rows.owned(p)) {
-      if (v == kInvalidVertex) continue;  // slot retired by a migration
       for (std::size_t l = 0; l <= num_layers; ++l) {
         const auto row = owned_row(p, l, v);
         auto out = store.layer(l).row(v);

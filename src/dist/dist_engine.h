@@ -109,8 +109,7 @@ struct DistBatchResult {
   // base must be total_sec() — comm included — because the stall vector
   // folds in comm-barrier waits: a compute-only base would clamp every
   // rank but the comm-slowest to zero on comm-dominated runs. This is the
-  // load evidence the skew detector accumulates (partition/SkewSignal) and
-  // the per-rank busy-share column fig12 prints.
+  // per-rank busy-share column fig12 prints.
   double busy_share_sec(std::size_t p) const {
     double busy = total_sec();
     if (p < barrier_wait_sec.size()) busy -= barrier_wait_sec[p];
@@ -149,21 +148,6 @@ class DistEngineBase {
   // the transport's cumulative counters but to no batch — it is a
   // diagnostic/serving operation outside the streaming loop.
   virtual EmbeddingStore gather_embeddings() = 0;
-
-  // Executes an ownership-change plan as one migration superstep between
-  // batches (docs/repartition.md). This is a COLLECTIVE: every rank of a
-  // real transport must call it at the same point with the SAME plan (each
-  // replica normalizes it against its partition copy, so all ranks derive
-  // identical shipping schedules). Old owners ship each moving vertex's full
-  // committed state over FrameType::migrate_row frames (send_migrate: exact
-  // f32 width, staged through the barrier); after the barrier every endpoint
-  // re-homes its row map, installs the received rows, patches its halo, and
-  // bumps its replicated assignment — so the next batch routes against the
-  // new owners with bit-identical embeddings to a never-migrated run.
-  // Returns the number of moves actually executed (after normalization
-  // drops no-ops). Wire cost is charged to the transport's cumulative
-  // counters but to no batch, like gather_embeddings().
-  virtual std::size_t migrate(MigrationPlan plan) = 0;
 
   // Snapshots every HOSTED partition's owned state to per-rank checkpoint
   // files in `dir` (dist/checkpoint.h): one file per hosted partition,

@@ -530,100 +530,6 @@ void DistRecomputeEngine::run_async_epoch(
   finish_epoch_timing(*transport_, busy, epoch_watch.elapsed_sec(), result);
 }
 
-std::size_t DistRecomputeEngine::migrate(MigrationPlan plan) {
-  plan.normalize(partition_);
-  if (plan.empty()) return 0;
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  for (const MigrationPlan::Move& move : plan.moves) {
-    RIPPLE_CHECK_MSG(move.vertex < graph_.num_vertices(),
-                     "migration of vertex " << move.vertex
-                                            << " beyond the snapshot");
-  }
-  std::size_t width = 0;
-  for (std::size_t l = 0; l <= num_layers; ++l) {
-    width += model_.config().embedding_dim(l);
-  }
-
-  // ---- migration superstep: RC ships only the committed H^0..H^L rows.
-  // Pull plans are re-derived per hop from the (updated) assignment, so
-  // there is no halo or aggregate state to patch.
-  transport_->begin_superstep();
-  std::vector<float> frame;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.from)) continue;
-    const EmbeddingStore& st = states_[move.from];
-    const std::uint32_t r = row_map_.local_of(move.vertex);
-    frame.clear();
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      const auto row = st.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    RIPPLE_CHECK(frame.size() == width);
-    transport_->send_migrate(move.from, move.to, move.vertex, frame);
-  }
-  transport_->end_superstep();
-
-  // Re-home the row map, grow each hosted store to the new part size (flat
-  // rows stay in place — extend()'s stability contract), then install the
-  // received rows through per-source FIFO cursors in plan order.
-  row_map_.rehome(plan);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    EmbeddingStore& st = states_[p];
-    const std::size_t rows = row_map_.part_size(p);
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      st.layer(l).resize_no_fill(rows, st.layer(l).cols());
-    }
-  }
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.to)) continue;
-    EmbeddingStore& st = states_[move.to];
-    auto& queue = fifo[move.to][move.from];
-    std::size_t& cursor = next[move.to][move.from];
-    RIPPLE_CHECK_MSG(cursor < queue.size(),
-                     "migration underflow: partition "
-                         << move.to << " expected another frame from "
-                         << move.from);
-    const Transport::Message& m =
-        transport_->inbox(move.to).messages[queue[cursor++]];
-    RIPPLE_CHECK(m.sender == move.vertex);
-    const auto payload = transport_->inbox(move.to).payload_of(m);
-    RIPPLE_CHECK(payload.size() == width);
-    const std::uint32_t r = row_map_.local_of(move.vertex);
-    std::size_t off = 0;
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      auto out = st.layer(l).row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "migration leftovers: partition "
-                           << p << " holds unconsumed frames from " << src);
-    }
-  }
-
-  partition_.apply(plan);
-  return plan.size();
-}
-
 double DistRecomputeEngine::write_checkpoint(const std::string& dir,
                                              std::uint64_t stream_cursor) {
   StopWatch watch;
@@ -633,7 +539,6 @@ double DistRecomputeEngine::write_checkpoint(const std::string& dir,
   base.engine_key = "rc";
   base.stream_cursor = stream_cursor;
   base.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
-  base.partition_version = partition_.version();
   base.num_vertices = graph_.num_vertices();
   base.row_width = static_cast<std::uint32_t>(width);
   base.part_of.resize(graph_.num_vertices());
@@ -645,10 +550,7 @@ double DistRecomputeEngine::write_checkpoint(const std::string& dir,
     CheckpointData data;
     data.meta = base;
     data.meta.rank = static_cast<std::uint32_t>(p);
-    for (const VertexId v : row_map_.owned(p)) {
-      if (v != kInvalidVertex) data.vertices.push_back(v);
-    }
-    std::sort(data.vertices.begin(), data.vertices.end());
+    data.vertices = row_map_.owned(p);  // ascending global ids
     data.rows.reserve(data.vertices.size() * width);
     for (const VertexId v : data.vertices) {
       const std::uint32_t r = row_map_.local_of(v);
@@ -684,9 +586,7 @@ void DistRecomputeEngine::restore_checkpoint(const std::string& dir,
                        "checkpoint partition assignment disagrees at vertex "
                            << v);
     }
-    std::size_t live = 0;
-    for (const VertexId v : row_map_.owned(p)) live += v != kInvalidVertex;
-    RIPPLE_CHECK_MSG(data.vertices.size() == live,
+    RIPPLE_CHECK_MSG(data.vertices.size() == row_map_.part_size(p),
                      "checkpoint owned-row count mismatch for partition "
                          << p);
     const float* row = data.rows.data();

@@ -50,14 +50,9 @@ class DistRecomputeEngine : public DistEngineBase {
   const char* name() const override { return "dist-RC"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
   EmbeddingStore gather_embeddings() override;
-  // Migration superstep (docs/repartition.md): RC keeps no halo cache or
-  // aggregate rows, so a move ships only the vertex's committed H^0..H^L
-  // rows; the per-hop pull plans of later batches re-derive themselves from
-  // the updated assignment.
-  std::size_t migrate(MigrationPlan plan) override;
   // Per hosted partition: one checkpoint file of the owned H^0..H^L rows
   // (dist/checkpoint.h). RC keeps no halo cache or aggregate rows, so the
-  // snapshot — like its migration frame — is the committed H union alone.
+  // snapshot is the committed H union alone.
   double write_checkpoint(const std::string& dir,
                           std::uint64_t stream_cursor) override;
   // Install-only restore: later batches re-derive their pull plans from the
@@ -104,7 +99,7 @@ class DistRecomputeEngine : public DistEngineBase {
 
   GnnModel model_;
   DynamicGraph graph_;  // replicated topology (one shared copy in-process)
-  Partition partition_;
+  const Partition partition_;  // fixed ownership for the engine's lifetime
   LocalRowMap row_map_;  // stable global→local owned-row addressing
   // Per partition, the owned H^0..H^L rows (local-row indexed); non-hosted
   // slots stay default-constructed and empty.

@@ -927,263 +927,6 @@ void DistRippleEngine::run_async_epoch(DistBatchResult& result) {
   finish_epoch_timing(*transport_, busy, epoch_watch.elapsed_sec(), result);
 }
 
-std::size_t DistRippleEngine::migrate(MigrationPlan plan) {
-  plan.normalize(partition_);
-  if (plan.empty()) return 0;
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  const ModelConfig& config = model_.config();
-
-  // Between-batches invariant: BSP clears every mailbox per hop and async
-  // clears them at epoch end, so a correctly-placed migrate() never has
-  // pending cells to ship. Assert instead of serializing them.
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t l = 1; l <= num_layers; ++l) {
-      RIPPLE_CHECK_MSG(mailbox(p, l).size() == 0,
-                       "migrate() must run between batches; partition "
-                           << p << " has pending hop-" << l << " cells");
-    }
-  }
-  for (const MigrationPlan::Move& move : plan.moves) {
-    RIPPLE_CHECK_MSG(move.vertex < graph_.num_vertices(),
-                     "migration of vertex " << move.vertex
-                                            << " beyond the snapshot");
-  }
-
-  // Ownership maps on both sides of the plan. Every endpoint derives the
-  // SAME decision lists from its replicated topology + plan, so senders and
-  // receivers agree on every frame without negotiation.
-  std::unordered_map<VertexId, std::uint32_t> moved_to;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    moved_to.emplace(move.vertex, move.to);
-  }
-  const auto owner_before = [&](VertexId v) { return partition_.part_of(v); };
-  const auto owner_after = [&](VertexId v) -> std::uint32_t {
-    const auto it = moved_to.find(v);
-    return it != moved_to.end() ? it->second : partition_.part_of(v);
-  };
-  // needed(r, u) under a map: u is remote to r and some edge u→w lands in
-  // r's owned set — exactly the PR-7 halo residency invariant, which the
-  // fill/erase protocol keeps EXACT between batches. The patch below
-  // therefore asserts presence on every erase and absence on every fill.
-  const auto needed = [&](std::uint32_t r, VertexId u,
-                          const auto& owner_of) {
-    if (owner_of(u) == r) return false;
-    for (const Neighbor& nb : graph_.out_neighbors(u)) {
-      if (owner_of(nb.vertex) == r) return true;
-    }
-    return false;
-  };
-
-  // Candidate (rank, vertex) pairs whose halo residency can change: a moved
-  // vertex at any rank (its owner changed), and each in-neighbor of a moved
-  // vertex at the move's two endpoints (one of its sink owners changed).
-  // Every other pair keeps both conditions of needed() unchanged.
-  std::vector<std::pair<std::uint32_t, VertexId>> cand;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    for (std::uint32_t r = 0; r < num_parts; ++r) {
-      cand.push_back({r, move.vertex});
-    }
-    for (const Neighbor& nb : graph_.in_neighbors(move.vertex)) {
-      cand.push_back({move.from, nb.vertex});
-      cand.push_back({move.to, nb.vertex});
-    }
-  }
-  std::sort(cand.begin(), cand.end());
-  cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-
-  // Halo patch decisions, in canonical (rank, vertex) order. A fill comes
-  // from the vertex's OLD owner — the endpoint that still holds its
-  // committed rows; src == rank marks the self-copy case (the old owner
-  // itself needs a halo copy of the vertex it is shedding).
-  struct HaloFill {
-    VertexId u;
-    std::uint32_t rank;
-    std::uint32_t src;
-  };
-  std::vector<HaloFill> fills;
-  std::vector<std::pair<std::uint32_t, VertexId>> dels;
-  for (const auto& [r, u] : cand) {
-    const bool before = needed(r, u, owner_before);
-    const bool after = needed(r, u, owner_after);
-    if (before == after) continue;
-    if (after) {
-      fills.push_back({u, r, owner_before(u)});
-    } else {
-      dels.push_back({r, u});
-    }
-  }
-
-  std::size_t state_width = 0;
-  for (std::size_t l = 0; l <= num_layers; ++l) {
-    state_width += config.embedding_dim(l);
-  }
-  for (std::size_t l = 0; l < num_layers; ++l) {
-    state_width += config.layer_in_dim(l);
-  }
-  std::size_t halo_width = 0;
-  for (std::size_t l = 0; l < num_layers; ++l) {
-    halo_width += config.embedding_dim(l);
-  }
-
-  // ---- migration superstep: old owners transmit, barrier, install ----
-  // Canonical send order: state frames in plan order, then halo fills in
-  // (rank, vertex) order. The install side replays the same lists through
-  // per-(dst, src) FIFO cursors, so sim's globally-interleaved inbox and
-  // tcp's sender-grouped inbox consume identically.
-  transport_->begin_superstep();
-  std::vector<float> frame;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.from)) continue;
-    const RankState& st = states_[move.from];
-    const std::uint32_t r = local(move.vertex);
-    frame.clear();
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      const auto row = st.store.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      const auto row = st.agg_cache[l].row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    RIPPLE_CHECK(frame.size() == state_width);
-    transport_->send_migrate(move.from, move.to, move.vertex, frame);
-  }
-  for (const HaloFill& f : fills) {
-    if (f.src == f.rank || !hosts(f.src)) continue;
-    const RankState& st = states_[f.src];
-    const std::uint32_t r = local(f.u);
-    frame.clear();
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      const auto row = st.store.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    RIPPLE_CHECK(frame.size() == halo_width);
-    transport_->send_migrate(f.src, f.rank, f.u, frame);
-  }
-  transport_->end_superstep();
-
-  // Self-copy fills FIRST: they read the shedding owner's store rows by OLD
-  // local id, which the re-home below retires (and an inbound install may
-  // reuse the slot).
-  for (const HaloFill& f : fills) {
-    if (f.src != f.rank || !hosts(f.rank)) continue;
-    RankState& st = states_[f.rank];
-    RIPPLE_CHECK_MSG(!st.halo.contains(f.u),
-                     "halo fill for already-cached vertex " << f.u);
-    const std::uint32_t r = local(f.u);
-    st.halo.ensure(f.u);
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      vec_copy(st.store.layer(l).row(r), st.halo.row(f.u, l));
-    }
-  }
-  // Eager erases: entries keyed on the old owner whose last cut edge the
-  // move dissolved (including the new owner's own cached copy of a vertex
-  // it now owns). Slots go to the cache's free list for reuse.
-  for (const auto& [r, u] : dels) {
-    if (!hosts(r)) continue;
-    RankState& st = states_[r];
-    RIPPLE_CHECK_MSG(st.halo.contains(u),
-                     "halo erase for uncached vertex " << u);
-    st.halo.erase(u);
-  }
-
-  // Re-home the row map (tombstone old slots, assign fresh ones at the new
-  // owners) and grow each hosted partition's matrices to the new part size.
-  // resize_no_fill with unchanged column count keeps every existing flat
-  // row in place — the same stability contract extend() relies on.
-  row_map_.rehome(plan);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    RankState& st = states_[p];
-    const std::size_t rows = row_map_.part_size(p);
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      st.store.layer(l).resize_no_fill(rows, st.store.layer(l).cols());
-    }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      st.agg_cache[l].resize_no_fill(rows, st.agg_cache[l].cols());
-    }
-  }
-
-  // Install: consume the inbox through per-source FIFO cursors in the
-  // canonical decision order (state frames, then remote halo fills).
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  const auto pop_msg = [&](std::size_t dst,
-                           std::size_t src) -> const Transport::Message& {
-    auto& queue = fifo[dst][src];
-    std::size_t& cursor = next[dst][src];
-    RIPPLE_CHECK_MSG(cursor < queue.size(),
-                     "migration underflow: partition "
-                         << dst << " expected another frame from " << src);
-    return transport_->inbox(dst).messages[queue[cursor++]];
-  };
-
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.to)) continue;
-    RankState& st = states_[move.to];
-    const Transport::Message& m = pop_msg(move.to, move.from);
-    RIPPLE_CHECK(m.sender == move.vertex);
-    const auto payload = transport_->inbox(move.to).payload_of(m);
-    RIPPLE_CHECK(payload.size() == state_width);
-    const std::uint32_t r = local(move.vertex);  // fresh post-rehome slot
-    std::size_t off = 0;
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      auto out = st.store.layer(l).row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      auto out = st.agg_cache[l].row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (const HaloFill& f : fills) {
-    if (f.src == f.rank || !hosts(f.rank)) continue;
-    RankState& st = states_[f.rank];
-    const Transport::Message& m = pop_msg(f.rank, f.src);
-    RIPPLE_CHECK(m.sender == f.u);
-    const auto payload = transport_->inbox(f.rank).payload_of(m);
-    RIPPLE_CHECK(payload.size() == halo_width);
-    RIPPLE_CHECK_MSG(!st.halo.contains(f.u),
-                     "halo fill for already-cached vertex " << f.u);
-    st.halo.ensure(f.u);
-    std::size_t off = 0;
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      auto row = st.halo.row(f.u, l);
-      vec_copy(payload.subspan(off, row.size()), row);
-      off += row.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "migration leftovers: partition "
-                           << p << " holds unconsumed frames from " << src);
-    }
-  }
-
-  // Flip the replicated assignment LAST: everything above keyed off the old
-  // table, and the next batch routes against the new one.
-  partition_.apply(plan);
-  return plan.size();
-}
-
 double DistRippleEngine::write_checkpoint(const std::string& dir,
                                           std::uint64_t stream_cursor) {
   StopWatch watch;
@@ -1193,7 +936,6 @@ double DistRippleEngine::write_checkpoint(const std::string& dir,
   base.engine_key = "ripple";
   base.stream_cursor = stream_cursor;
   base.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
-  base.partition_version = partition_.version();
   base.num_vertices = graph_.num_vertices();
   base.row_width = static_cast<std::uint32_t>(width);
   base.part_of.resize(graph_.num_vertices());
@@ -1205,13 +947,7 @@ double DistRippleEngine::write_checkpoint(const std::string& dir,
     CheckpointData data;
     data.meta = base;
     data.meta.rank = static_cast<std::uint32_t>(p);
-    for (const VertexId v : row_map_.owned(p)) {
-      if (v != kInvalidVertex) data.vertices.push_back(v);
-    }
-    // Canonical ascending-id order: slot order depends on migration
-    // history, and the file must not (a restored replacement rank has no
-    // such history).
-    std::sort(data.vertices.begin(), data.vertices.end());
+    data.vertices = row_map_.owned(p);  // ascending global ids
     data.rows.reserve(data.vertices.size() * width);
     const RankState& st = states_[p];
     for (const VertexId v : data.vertices) {
@@ -1259,9 +995,7 @@ void DistRippleEngine::restore_checkpoint(const std::string& dir,
                        "checkpoint partition assignment disagrees at vertex "
                            << v);
     }
-    std::size_t live = 0;
-    for (const VertexId v : row_map_.owned(p)) live += v != kInvalidVertex;
-    RIPPLE_CHECK_MSG(data.vertices.size() == live,
+    RIPPLE_CHECK_MSG(data.vertices.size() == row_map_.part_size(p),
                      "checkpoint owned-row count mismatch for partition "
                          << p);
     RankState& st = states_[p];
@@ -1295,8 +1029,10 @@ void DistRippleEngine::restore_checkpoint(const std::string& dir,
   // embeddings. Every owner ships H^0..H^{L-1} of its boundary vertices to
   // the partitions caching them; both sides derive the identical schedule
   // (destination ascending, vertex ascending — build_halo_index's order)
-  // from replicated state, the same canonical-order + FIFO-cursor pattern
-  // the migration superstep uses.
+  // from replicated state and consume the inbox through per-source FIFO
+  // cursors, so sim's globally-interleaved inbox and tcp's sender-grouped
+  // inbox install identically. The rows travel as exact state-row frames
+  // (send_migrate): never wire-rounded, whatever --wire-precision says.
   const HaloIndex halo = build_halo_index(graph_, partition_);
   transport_->begin_superstep();
   std::vector<float> frame;

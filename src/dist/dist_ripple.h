@@ -91,22 +91,16 @@ class DistRippleEngine : public DistEngineBase {
   const char* name() const override { return "dist-Ripple"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
   EmbeddingStore gather_embeddings() override;
-  // Migration superstep (docs/repartition.md): ships each moving vertex's
-  // H^0..H^L rows AND its aggregate-cache rows (one migrate_row frame), then
-  // re-homes the row map, patches every hosted halo incrementally (fills for
-  // newly-cut in-edges from the OLD owner's committed rows, eager erases for
-  // edges the move un-cuts), and bumps the replicated assignment. Mailboxes
-  // must be empty — the between-batches invariant — and the call asserts it.
-  std::size_t migrate(MigrationPlan plan) override;
   // Per hosted partition: one checkpoint file of owned (H^0..H^L ∥ agg
-  // caches) rows — the migration state-frame layout (dist/checkpoint.h).
+  // caches) rows (dist/checkpoint.h).
   double write_checkpoint(const std::string& dir,
                           std::uint64_t stream_cursor) override;
   // Installs the checkpointed owned rows, then runs ONE halo-refill
   // superstep — each owner ships H^0..H^{L-1} of its boundary vertices to
-  // the partitions whose halo holds them (the same canonical order and
-  // FIFO-cursor install the migration superstep uses) — and fast-forwards
-  // batches_applied_ to the cursor so halo version stamps resume monotone.
+  // the partitions whose halo holds them, as exact state-row frames in a
+  // canonical order installed through per-source FIFO cursors — and
+  // fast-forwards batches_applied_ to the cursor so halo version stamps
+  // resume monotone.
   void restore_checkpoint(const std::string& dir,
                           std::uint64_t stream_cursor) override;
   const Partition& partition() const override { return partition_; }
@@ -218,7 +212,7 @@ class DistRippleEngine : public DistEngineBase {
 
   GnnModel model_;
   DynamicGraph graph_;  // replicated topology (one shared copy in-process)
-  Partition partition_;
+  const Partition partition_;  // fixed ownership for the engine's lifetime
   LocalRowMap row_map_;  // stable global→local owned-row addressing
   std::vector<RankState> states_;         // per partition; hosted only
   std::unique_ptr<Transport> transport_;  // engine code sees only the iface

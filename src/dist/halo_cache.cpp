@@ -45,8 +45,8 @@ void HaloCache::erase(VertexId v) {
   free_.insert(pos, it->second);
   slot_of_.erase(it);
   // A run of free slots at the tail holds no live row: dropping it moves
-  // nothing, so a shrinking halo (cut-edge deletes, migration re-homes)
-  // actually releases storage instead of pinning its high-water forever.
+  // nothing, so a shrinking halo (cut-edge deletes) actually releases
+  // storage instead of pinning its high-water forever.
   while (!free_.empty() && free_.front() == num_slots_ - 1) {
     free_.erase(free_.begin());
     --num_slots_;

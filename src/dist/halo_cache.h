@@ -21,8 +21,8 @@
 // erase/insert churn reuses slots (smallest retired slot first), and growth
 // never moves live rows that other slots reference (Matrix::resize would
 // reassign every element). Trailing free slots are trimmed on erase — a
-// shrinking halo (cut-edge deletes, migration re-homes) releases storage
-// instead of pinning its high-water footprint.
+// shrinking halo (cut-edge deletes) releases storage instead of pinning
+// its high-water footprint.
 #pragma once
 
 #include <cstdint>

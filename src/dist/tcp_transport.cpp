@@ -352,8 +352,8 @@ void TcpTransport::send_migrate(std::size_t src, std::size_t dst,
   RIPPLE_CHECK_MSG(src == rank_,
                    "rank " << rank_ << " cannot transmit for partition "
                            << src << " (owner routing)");
-  // Exact f32 bits and full-width accounting, like send_exact — migration
-  // moves the owner's committed state verbatim at any --wire-precision.
+  // Exact f32 bits and full-width accounting, like send_exact — a state row
+  // carries the owner's committed bits verbatim at any --wire-precision.
   count_wire(payload.size() * sizeof(float), 1);
   Peer& peer = peers_[dst];
   wire::append_migrate_frame(peer.sendbuf, sender,

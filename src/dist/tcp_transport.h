@@ -100,9 +100,9 @@ class TcpTransport final : public Transport {
                    std::size_t num_messages = 1) override;
   void send_exact(std::size_t src, std::size_t dst, VertexId sender,
                   std::span<const float> payload) override;
-  // Migration superstep traffic: send_exact accounting (full f32 width,
-  // never wire-rounded) framed as FrameType::migrate_row, staged through
-  // the barrier exactly like payload frames.
+  // Exact state-row frame (checkpoint-restore halo refill): send_exact
+  // accounting (full f32 width, never wire-rounded) framed as
+  // FrameType::migrate_row, staged through the barrier like payload frames.
   void send_migrate(std::size_t src, std::size_t dst, VertexId sender,
                     std::span<const float> payload) override;
   double end_superstep() override;

@@ -139,13 +139,13 @@ class Transport {
   virtual void send_exact(std::size_t src, std::size_t dst, VertexId sender,
                           std::span<const float> payload) = 0;
 
-  // Migration superstep send (docs/repartition.md): a moving vertex's
-  // committed state or a halo refill row, shipped by the OLD owner during
-  // the migration superstep. send_exact semantics — never wire-rounded,
-  // counted at f32 width — but framed as FrameType::migrate_row on a
-  // networked backend so the migration traffic is distinguishable on the
-  // wire. The default forwards to send_exact, which is exactly right for
-  // SimTransport (inbox append + exact f32 accounting).
+  // Exact state-row frame (checkpoint-restore halo refill): an owner ships
+  // a restored boundary vertex's committed rows to the partitions caching
+  // it. send_exact semantics — never wire-rounded, counted at f32 width —
+  // but framed as FrameType::migrate_row on a networked backend so the
+  // refill traffic is distinguishable on the wire. The default forwards to
+  // send_exact, which is exactly right for SimTransport (inbox append +
+  // exact f32 accounting).
   virtual void send_migrate(std::size_t src, std::size_t dst, VertexId sender,
                             std::span<const float> payload) {
     send_exact(src, dst, sender, payload);

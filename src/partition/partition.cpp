@@ -1,7 +1,6 @@
 #include "partition/partition.h"
 
 #include <algorithm>
-#include <functional>
 #include <queue>
 
 #include "common/check.h"
@@ -34,60 +33,6 @@ std::size_t Partition::edge_cut(const DynamicGraph& graph) const {
     }
   }
   return cut;
-}
-
-void MigrationPlan::normalize(const Partition& partition) {
-  for (auto& move : moves) {
-    RIPPLE_CHECK_MSG(move.to < partition.num_parts(),
-                     "migration destination " << move.to << " out of range");
-    move.from = partition.part_of(move.vertex);
-  }
-  std::sort(moves.begin(), moves.end(),
-            [](const Move& a, const Move& b) { return a.vertex < b.vertex; });
-  for (std::size_t i = 1; i < moves.size(); ++i) {
-    RIPPLE_CHECK_MSG(moves[i - 1].vertex != moves[i].vertex,
-                     "vertex " << moves[i].vertex << " moved twice in one plan");
-  }
-  moves.erase(std::remove_if(moves.begin(), moves.end(),
-                             [](const Move& m) { return m.from == m.to; }),
-              moves.end());
-}
-
-void Partition::apply(const MigrationPlan& plan) {
-  // Materialize fallback assignments for any post-partition vertex the plan
-  // touches, so its move routes through the table from now on. Untouched
-  // post-partition vertices keep answering via the fallback rule — the
-  // materialized entries are bit-equal to it, so nothing else changes.
-  VertexId max_vertex = 0;
-  for (const auto& move : plan.moves) {
-    max_vertex = std::max(max_vertex, move.vertex);
-  }
-  if (!plan.empty() && max_vertex >= part_of_.size()) {
-    const std::size_t old_n = part_of_.size();
-    part_of_.resize(static_cast<std::size_t>(max_vertex) + 1);
-    for (VertexId v = old_n; v < part_of_.size(); ++v) {
-      const auto p = num_parts_ <= 1
-                         ? 0u
-                         : static_cast<std::uint32_t>(fib_spread(v, num_parts_));
-      part_of_[v] = p;
-      vertices_of_[p].push_back(v);  // v exceeds every present id: stays sorted
-    }
-  }
-  for (const auto& move : plan.moves) {
-    RIPPLE_CHECK_MSG(part_of_[move.vertex] == move.from,
-                     "stale migration plan: vertex " << move.vertex
-                         << " owned by " << part_of_[move.vertex] << ", not "
-                         << move.from);
-    RIPPLE_CHECK(move.to < num_parts_);
-    if (move.from == move.to) continue;
-    part_of_[move.vertex] = move.to;
-    auto& src = vertices_of_[move.from];
-    src.erase(std::lower_bound(src.begin(), src.end(), move.vertex));
-    auto& dst = vertices_of_[move.to];
-    dst.insert(std::lower_bound(dst.begin(), dst.end(), move.vertex),
-               move.vertex);
-  }
-  ++version_;
 }
 
 double Partition::balance() const {
@@ -226,123 +171,6 @@ std::size_t refine_partition(const DynamicGraph& graph, Partition& partition,
   return total_moves;
 }
 
-MigrationPlan propose_migration(const DynamicGraph& graph,
-                                const Partition& partition,
-                                const SkewSignal& signal,
-                                const MigrationOptions& options) {
-  MigrationPlan plan;
-  const std::size_t k = partition.num_parts();
-  if (k < 2 || options.max_moves == 0) return plan;
-  const double mean = signal.mean(k);
-  if (mean <= 0) return plan;
-  std::vector<std::uint8_t> hot(k, 0);
-  bool any_hot = false;
-  for (std::size_t p = 0; p < k; ++p) {
-    hot[p] = signal.busy(p) > options.hot_factor * mean;
-    any_hot |= hot[p] != 0;
-  }
-  if (!any_hot) return plan;
-
-  const std::size_t n =
-      std::max(graph.num_vertices(), partition.num_vertices());
-  const double capacity = options.capacity_slack * static_cast<double>(n) /
-                          static_cast<double>(k);
-  std::vector<std::size_t> sizes(k);
-  for (std::size_t p = 0; p < k; ++p) sizes[p] = partition.part_size(p);
-
-  struct Candidate {
-    std::int64_t gain;  // cut edges removed minus cut edges created
-    VertexId vertex;
-    std::uint32_t from;
-    std::uint32_t to;
-  };
-  std::vector<Candidate> candidates;
-  std::vector<std::size_t> affinity(k);
-  for (std::uint32_t p = 0; p < k; ++p) {
-    if (!hot[p]) continue;
-    for (const VertexId v : partition.vertices_of(p)) {
-      if (v >= graph.num_vertices()) continue;
-      std::fill(affinity.begin(), affinity.end(), 0);
-      for (const Neighbor& nb : graph.in_neighbors(v)) {
-        ++affinity[partition.part_of(nb.vertex)];
-      }
-      for (const Neighbor& nb : graph.out_neighbors(v)) {
-        ++affinity[partition.part_of(nb.vertex)];
-      }
-      // Best non-hot destination: highest affinity, then lightest load,
-      // then lowest part id — a total order, so every replica proposing
-      // from the same signal derives the same plan.
-      std::uint32_t best = UINT32_MAX;
-      for (std::uint32_t q = 0; q < k; ++q) {
-        if (q == p || hot[q]) continue;
-        if (best == UINT32_MAX || affinity[q] > affinity[best] ||
-            (affinity[q] == affinity[best] &&
-             signal.busy(q) < signal.busy(best))) {
-          best = q;
-        }
-      }
-      if (best == UINT32_MAX) continue;
-      candidates.push_back({static_cast<std::int64_t>(affinity[best]) -
-                                static_cast<std::int64_t>(affinity[p]),
-                            v, p, best});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.gain != b.gain) return a.gain > b.gain;
-              return a.vertex < b.vertex;
-            });
-  std::vector<std::uint8_t> in_plan(n, 0);
-  for (const Candidate& c : candidates) {
-    if (plan.size() >= options.max_moves) break;
-    if (sizes[c.from] <= 1) continue;  // never empty a part
-    if (static_cast<double>(sizes[c.to]) + 1 > capacity) continue;
-    plan.moves.push_back({c.vertex, c.from, c.to});
-    in_plan[c.vertex] = 1;
-    --sizes[c.from];
-    ++sizes[c.to];
-  }
-  if (options.swap_backfill) {
-    // Pair each shed with a return: the destination hands back its best
-    // cut-gain vertex toward the shedding part, restoring both sizes. The
-    // scan order (plan order, then ascending vertex id within the
-    // destination) is a total order, so replicas stay in lockstep.
-    const std::size_t sheds = plan.size();
-    for (std::size_t i = 0; i < sheds; ++i) {
-      const auto shed = plan.moves[i];
-      std::int64_t best_gain = std::numeric_limits<std::int64_t>::min();
-      VertexId best = kInvalidVertex;
-      for (const VertexId w : partition.vertices_of(shed.to)) {
-        if (w >= graph.num_vertices() || in_plan[w]) continue;
-        std::int64_t toward_from = 0;
-        std::int64_t toward_to = 0;
-        for (const Neighbor& nb : graph.in_neighbors(w)) {
-          const std::uint32_t q = partition.part_of(nb.vertex);
-          toward_from += q == shed.from;
-          toward_to += q == shed.to;
-        }
-        for (const Neighbor& nb : graph.out_neighbors(w)) {
-          const std::uint32_t q = partition.part_of(nb.vertex);
-          toward_from += q == shed.from;
-          toward_to += q == shed.to;
-        }
-        const std::int64_t gain = toward_from - toward_to;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = w;
-        }
-      }
-      if (best == kInvalidVertex) continue;  // unpaired shed: size drifts
-      plan.moves.push_back({best, shed.to, shed.from});
-      in_plan[best] = 1;
-      ++sizes[shed.from];
-      --sizes[shed.to];
-    }
-  }
-  plan.normalize(partition);
-  return plan;
-}
-
 std::size_t HaloIndex::total_boundary() const {
   std::size_t total = 0;
   for (const auto& part : boundary) total += part.size();
@@ -358,7 +186,6 @@ std::size_t HaloIndex::total_halo() const {
 LocalRowMap::LocalRowMap(const Partition& partition,
                          std::size_t num_vertices) {
   owned_.resize(partition.num_parts());
-  free_.resize(partition.num_parts());
   extend(partition, num_vertices);
 }
 
@@ -373,59 +200,9 @@ void LocalRowMap::extend(const Partition& partition,
   }
 }
 
-void LocalRowMap::rehome(const MigrationPlan& plan) {
-  // Pass 1: retire EVERY moved vertex's old slot before assigning any new
-  // one. With a single interleaved pass, a move whose destination retires a
-  // slot later in the same plan would append instead of reusing it — a swap
-  // pair (v: p->q, w: q->p) could transiently grow both parts by one row
-  // per superstep, an avoidable high-water the drift bench measures.
-  for (const auto& move : plan.moves) {
-    RIPPLE_CHECK(move.vertex < local_of_.size());
-    RIPPLE_CHECK(move.from < owned_.size() && move.to < owned_.size());
-    const std::uint32_t old_slot = local_of_[move.vertex];
-    RIPPLE_CHECK_MSG(owned_[move.from][old_slot] == move.vertex,
-                     "rehome: vertex " << move.vertex << " not at part "
-                         << move.from << " slot " << old_slot);
-    owned_[move.from][old_slot] = kInvalidVertex;
-    auto& freed = free_[move.from];
-    freed.insert(std::upper_bound(freed.begin(), freed.end(), old_slot,
-                                  std::greater<std::uint32_t>()),
-                 old_slot);
-  }
-  // Pass 2: assign fresh slots in plan order — smallest retired slot first,
-  // else a row appended at the end. Both passes are pure functions of
-  // (plan, table), so every replica assigns identical slots.
-  for (const auto& move : plan.moves) {
-    auto& reusable = free_[move.to];
-    std::uint32_t slot;
-    if (!reusable.empty()) {
-      slot = reusable.back();  // smallest retired slot (sorted descending)
-      reusable.pop_back();
-      owned_[move.to][slot] = move.vertex;
-    } else {
-      slot = static_cast<std::uint32_t>(owned_[move.to].size());
-      owned_[move.to].push_back(move.vertex);
-    }
-    local_of_[move.vertex] = slot;
-  }
-  // Trim trailing tombstone runs: the tail slots hold no live row, so the
-  // part genuinely shrinks (engines resize their matrices to part_size).
-  // free_ is sorted descending, so a trailing retired slot is its head.
-  for (std::size_t p = 0; p < owned_.size(); ++p) {
-    auto& owned = owned_[p];
-    auto& freed = free_[p];
-    while (!owned.empty() && owned.back() == kInvalidVertex) {
-      owned.pop_back();
-      RIPPLE_CHECK(!freed.empty() && freed.front() == owned.size());
-      freed.erase(freed.begin());
-    }
-  }
-}
-
 std::size_t LocalRowMap::bytes() const {
   std::size_t total = local_of_.capacity() * sizeof(std::uint32_t);
   for (const auto& part : owned_) total += part.capacity() * sizeof(VertexId);
-  for (const auto& part : free_) total += part.capacity() * sizeof(std::uint32_t);
   return total;
 }
 

@@ -1,8 +1,10 @@
 // Checkpoint/restore tests (dist/checkpoint.h, docs/fault_tolerance.md):
 //  1. File format: a checkpoint round-trips bit-exactly (including NaN and
 //     denormal floats), any flipped or missing byte is rejected as
-//     TransportError{kCorrupt} by the CRC, and latest_checkpoint_cursor
-//     skips cursors where any rank's file is missing or damaged.
+//     TransportError{kCorrupt} by the CRC, a CRC-valid file of another
+//     format version is rejected by the version check, and
+//     latest_checkpoint_cursor skips cursors where any rank's file is
+//     missing or damaged.
 //  2. THE recovery property: run a stream with periodic checkpoints under a
 //     seeded kill schedule; after the injected rank death, rebuild the
 //     stream-prefix topology, restore every rank from the last complete
@@ -74,7 +76,6 @@ CheckpointData sample_checkpoint(std::uint64_t cursor, std::uint32_t rank) {
   data.meta.stream_cursor = cursor;
   data.meta.rank = rank;
   data.meta.num_parts = 2;
-  data.meta.partition_version = 3;
   data.meta.num_vertices = 4;
   data.meta.row_width = 3;
   // One shared assignment table; each rank's file lists ITS owned ids.
@@ -102,7 +103,6 @@ TEST(CheckpointFile, RoundTripsBitExactly) {
   EXPECT_EQ(got.meta.stream_cursor, written.meta.stream_cursor);
   EXPECT_EQ(got.meta.rank, written.meta.rank);
   EXPECT_EQ(got.meta.num_parts, written.meta.num_parts);
-  EXPECT_EQ(got.meta.partition_version, written.meta.partition_version);
   EXPECT_EQ(got.meta.num_vertices, written.meta.num_vertices);
   EXPECT_EQ(got.meta.row_width, written.meta.row_width);
   EXPECT_EQ(got.meta.part_of, written.meta.part_of);
@@ -143,6 +143,29 @@ TEST(CheckpointFile, EveryFlippedByteIsRejected) {
   }
   dump(path, valid);
   EXPECT_NO_THROW(read_checkpoint_file(path));
+}
+
+TEST(CheckpointFile, OldFormatVersionIsRejectedPastTheCrc) {
+  const std::string dir = make_temp_dir();
+  write_checkpoint_file(dir, sample_checkpoint(3, 0));
+  const std::string path = checkpoint_path(dir, 3, 0);
+  std::vector<std::uint8_t> old = slurp(path);
+  // Rewrite the header's format version (the u32 after the u64 magic) to 1
+  // and re-seal the CRC, so only the version check can reject the file.
+  const std::uint32_t version = 1;
+  std::memcpy(old.data() + sizeof(std::uint64_t), &version, sizeof(version));
+  const std::uint32_t crc = crc32(old.data(), old.size() - 4);
+  std::memcpy(old.data() + old.size() - 4, &crc, sizeof(crc));
+  dump(path, old);
+  try {
+    (void)read_checkpoint_file(path);
+    ADD_FAILURE() << "format version 1 was accepted";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportErrorKind::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFile, LatestCursorRequiresACompleteRankSet) {
@@ -310,7 +333,7 @@ TEST(CheckpointRecovery, KillRestoreReplayIsBitIdenticalRecompute) {
   }
 }
 
-TEST(CheckpointRecovery, RowWidthsMatchTheMigrationLayout) {
+TEST(CheckpointRecovery, RowWidthsMatchTheStateFrameLayout) {
   // ripple rows carry H^0..H^L plus the per-hop aggregate caches; rc rows
   // carry H only. workload gc_s feat=8 classes=4 hidden=12, 2 layers:
   // H widths 8+12+4, agg-cache widths = layer input dims 8+12.

@@ -138,8 +138,8 @@ TEST(WireFormat, RowFrameRoundTripCarriesHopStamp) {
 }
 
 TEST(WireFormat, MigrateFrameRoundTripIsBitExact) {
-  // Migration frames move the owner's committed state verbatim: full f32
-  // width at ANY --wire-precision, so the round trip must preserve raw
+  // Exact state-row frames carry the owner's committed rows verbatim: full
+  // f32 width at ANY --wire-precision, so the round trip must preserve raw
   // bits including NaN payloads and denormals.
   const std::vector<float> row = {42.0f, -0.0f, std::nanf("0xbad"),
                                   std::numeric_limits<float>::denorm_min(),
@@ -472,129 +472,6 @@ TEST(TcpConformance, BitIdenticalToSimAndSingleMachineWithEqualCounters) {
           EXPECT_GT(tcp_messages, 0u);
         }
       }
-    }
-  }
-}
-
-// ------------------------------------------------- migration supersteps
-
-// The deterministic mid-stream migration schedule of the conformance test:
-// every replica derives it from ITS OWN engine's replicated partition
-// state, so forked tcp ranks and the in-process sim run agree on every
-// plan without any out-of-band channel (the agreement real deployments
-// must provide is exactly this determinism; docs/repartition.md).
-MigrationPlan conformance_plan(const DistEngineBase& engine, std::size_t b) {
-  const std::size_t k = engine.partition().num_parts();
-  const std::size_t n = engine.graph().num_vertices();
-  MigrationPlan plan;
-  for (std::size_t i = 0; i < 3; ++i) {
-    const auto v = static_cast<VertexId>((b * 17 + i * 31) % n);
-    plan.moves.push_back({v, 0, static_cast<std::uint32_t>(
-                                    (engine.partition().part_of(v) + 1) % k)});
-  }
-  return plan;
-}
-
-TEST(TcpConformance, MigrationSuperstepsBitIdenticalToSimWithEqualCounters) {
-  // The tentpole's transport headline: with a migration superstep after
-  // EVERY batch, forked loopback ranks produce owned rows — keyed on the
-  // POST-migration assignment — bit-identical to the sim backend and to
-  // the never-migrated single-machine engines, and the per-rank egress
-  // sums still equal sim's totals (migration frames charge the cumulative
-  // transport counters, batch results on both backends exclude them
-  // identically).
-  const auto c = make_rmat_case(77);
-  const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
-  const auto model = GnnModel::random(config, 79);
-  constexpr std::size_t kBatch = 9;
-  const auto batches = make_batches(c.stream, kBatch);
-
-  RippleEngine ripple_ref(model, c.snapshot, c.features);
-  RecomputeEngine rc_ref(model, c.snapshot, c.features);
-  for (const auto& batch : batches) {
-    ripple_ref.apply_batch(batch);
-    rc_ref.apply_batch(batch);
-  }
-
-  for (const std::size_t num_parts : {2, 4}) {
-    auto partition = ldg_partition(c.snapshot, num_parts);
-    refine_partition(c.snapshot, partition, 1);
-    for (const char* key : {"ripple", "rc"}) {
-      SCOPED_TRACE(std::string(key) + ", " + std::to_string(num_parts) +
-                   " parts");
-      std::uint64_t tcp_bytes = 0;
-      std::uint64_t tcp_messages = 0;
-      const auto results = run_loopback_ranks(
-          num_parts,
-          [&](const TcpConfig& config_) -> std::vector<std::uint8_t> {
-            auto transport = std::make_unique<TcpTransport>(
-                num_parts, TransportOptions{}, config_);
-            auto engine = make_dist_engine(key, model, c.snapshot,
-                                           c.features, partition, nullptr,
-                                           std::move(transport));
-            std::uint64_t bytes = 0;
-            std::uint64_t messages = 0;
-            bool measured = true;
-            for (std::size_t b = 0; b < batches.size(); ++b) {
-              const DistBatchResult result = engine->apply_batch(batches[b]);
-              bytes += result.wire_bytes;
-              messages += result.wire_messages;
-              measured = measured && result.comm_measured;
-              engine->migrate(conformance_plan(*engine, b));
-            }
-            // Report keyed on the engine's CURRENT (migrated) partition —
-            // the load-time table no longer describes ownership.
-            return encode_report(engine->gather_embeddings(),
-                                 engine->partition(), config_.rank, bytes,
-                                 messages, measured);
-          });
-
-      std::uint64_t sim_bytes = 0;
-      std::uint64_t sim_messages = 0;
-      std::size_t sim_moves = 0;
-      auto sim = make_dist_engine(key, model, c.snapshot, c.features,
-                                  partition, nullptr, TransportOptions{});
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        const DistBatchResult result = sim->apply_batch(batches[b]);
-        sim_bytes += result.wire_bytes;
-        sim_messages += result.wire_messages;
-        sim_moves += sim->migrate(conformance_plan(*sim, b));
-      }
-      EXPECT_GT(sim_moves, 0u);
-      const EmbeddingStore sim_store = sim->gather_embeddings();
-
-      EmbeddingStore assembled(model.config(), c.snapshot.num_vertices());
-      const auto dims = layer_dims_of(model.config());
-      std::vector<VertexId> claimed;
-      for (std::size_t r = 0; r < num_parts; ++r) {
-        const RankReport report =
-            decode_report(results[r], dims, c.snapshot.num_vertices());
-        EXPECT_EQ(report.comm_measured, 1u) << "rank " << r;
-        std::size_t cursor = 0;
-        for (const VertexId v : report.owned) {
-          // Each rank claims exactly its post-migration owned set.
-          EXPECT_EQ(sim->partition().part_of(v), r);
-          claimed.push_back(v);
-          for (std::size_t l = 0; l < dims.size(); ++l) {
-            std::memcpy(assembled.layer(l).row(v).data(),
-                        report.rows.data() + cursor, dims[l] * sizeof(float));
-            cursor += dims[l];
-          }
-        }
-        tcp_bytes += report.wire_bytes;
-        tcp_messages += report.wire_messages;
-      }
-      // Ownership after the schedule is a partition: every vertex claimed
-      // exactly once across the ranks.
-      EXPECT_EQ(claimed.size(), c.snapshot.num_vertices());
-
-      EXPECT_EQ(testing::max_store_diff(assembled, sim_store), 0.0f);
-      const EmbeddingStore& ref = std::string(key) == "ripple"
-                                      ? ripple_ref.embeddings()
-                                      : rc_ref.embeddings();
-      EXPECT_EQ(testing::max_store_diff(assembled, ref), 0.0f);
-      EXPECT_EQ(tcp_bytes, sim_bytes);
-      EXPECT_EQ(tcp_messages, sim_messages);
     }
   }
 }
