@@ -70,10 +70,10 @@ class RankDeltaSink {
   Matrix& delta_block_;
 };
 
-// Drains `shard` of hop l (1-based) into h_out. `agg_cache` is the layer's
-// raw-sum aggregate cache, `h_prev`/`h_out` the H^{l-1}/H^l tables. `sink`
-// is invoked per drained vertex (ascending id) as
-// sink(v, new_row, old_row) before the commit; it may be null when deltas
+// Drains shard s of `mailbox`, the hop-l (1-based) mailbox, into h_out.
+// `agg_cache` is the layer's raw-sum aggregate cache, `h_prev`/`h_out` the
+// H^{l-1}/H^l tables. `sink` is invoked per drained vertex (ascending id)
+// as sink(v, new_row, old_row) before the commit; it may be null when deltas
 // are not needed (the last hop). Templated over the sink functor so the
 // per-vertex call inlines on the hot path. Returns the number of
 // cache-fold ops (the 2·k' incremental-op model of §4.3.3 counts them).
@@ -92,20 +92,22 @@ class RankDeltaSink {
 template <typename Sink>
 std::uint64_t apply_hop_shard(const GnnModel& model, std::size_t l,
                               const DynamicGraph& graph,
-                              const Mailbox::Shard& shard, std::size_t dim,
+                              const Mailbox& mailbox, std::size_t s,
                               Matrix& agg_cache, const Matrix& h_prev,
                               Matrix& h_out, HopShardScratch& scratch,
                               const Sink* sink,
                               WorkStealingScheduler* scheduler = nullptr,
                               const std::uint32_t* local_row = nullptr) {
+  const Mailbox::Shard& shard = mailbox.shard(s);
   if (shard.size() == 0) return 0;
+  const std::size_t dim = mailbox.dim();
   const GnnLayer& layer = model.layer(l - 1);
   const std::size_t in_dim = model.config().layer_in_dim(l - 1);
   const bool is_mean = model.config().aggregator == AggregatorKind::mean;
   const bool gather_self = layer.uses_self();
 
   std::uint64_t ops = 0;
-  scratch.slots = shard.sorted_slots();
+  mailbox.sorted_slots(s, scratch.slots);
   const std::size_t rows = scratch.slots.size();
 
   // Fold Δagg into the cache and gather the shard's Update inputs into a

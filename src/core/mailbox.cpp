@@ -1,24 +1,36 @@
 #include "core/mailbox.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
 namespace ripple {
 
-Mailbox::Mailbox(std::size_t dim, std::size_t num_shards) : dim_(dim) {
-  RIPPLE_CHECK_MSG(num_shards >= 1, "mailbox needs at least one shard");
-  shards_.resize(num_shards);
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+std::size_t word_of(VertexId v) { return v / kWordBits; }
+std::uint64_t bit_of(VertexId v) { return std::uint64_t{1} << (v % kWordBits); }
+
+// Calls emit(v) for each set bit of bitmap word w, lowest id first.
+template <typename Emit>
+void emit_set_bits(std::uint64_t bits, std::size_t w, const Emit& emit) {
+  while (bits != 0) {
+    emit(static_cast<VertexId>(w * kWordBits + std::countr_zero(bits)));
+    bits &= bits - 1;
+  }
 }
 
-std::vector<std::uint32_t> Mailbox::Shard::sorted_slots() const {
-  std::vector<std::uint32_t> slots(vertices.size());
-  for (std::uint32_t i = 0; i < slots.size(); ++i) slots[i] = i;
-  std::sort(slots.begin(), slots.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return vertices[a] < vertices[b];
-            });
-  return slots;
+}  // namespace
+
+Mailbox::Mailbox(std::size_t dim, std::size_t num_vertices,
+                 std::size_t num_shards)
+    : dim_(dim), slots_(num_vertices, kNoSlot) {
+  RIPPLE_CHECK_MSG(num_shards >= 1, "mailbox needs at least one shard");
+  shards_.resize(num_shards);
+  const std::size_t words = (num_vertices + kWordBits - 1) / kWordBits;
+  for (Shard& shard : shards_) shard.present.assign(words, 0);
 }
 
 std::size_t Mailbox::size() const {
@@ -34,16 +46,24 @@ bool Mailbox::empty() const {
   return true;
 }
 
+Mailbox::Shard& Mailbox::mutable_shard(VertexId v) {
+  RIPPLE_CHECK_MSG(v < slots_.size(), "vertex " << v
+                                                << " outside the mailbox range "
+                                                << slots_.size());
+  return shards_[shard_of(v)];
+}
+
 std::uint32_t Mailbox::slot_of(Shard& shard, VertexId v) {
-  const auto [it, inserted] =
-      shard.index.try_emplace(v, static_cast<std::uint32_t>(shard.size()));
-  if (inserted) {
+  std::uint32_t& slot = slots_[v];
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(shard.size());
     shard.vertices.push_back(v);
     shard.deltas.resize(shard.deltas.size() + dim_, 0.0f);
     shard.touched.push_back(0);
     shard.self.push_back(0);
+    shard.present[word_of(v)] |= bit_of(v);
   }
-  return it->second;
+  return slot;
 }
 
 void Mailbox::accumulate(VertexId v, float alpha,
@@ -79,8 +99,19 @@ void Mailbox::adopt(VertexId v, std::span<const float> delta, bool touched,
 }
 
 bool Mailbox::contains(VertexId v) const {
+  return v < slots_.size() && slots_[v] != kNoSlot;
+}
+
+std::optional<Mailbox::CellView> Mailbox::find(VertexId v) const {
+  if (!contains(v)) return std::nullopt;
   const Shard& shard = shards_[shard_of(v)];
-  return shard.index.find(v) != shard.index.end();
+  const std::uint32_t slot = slots_[v];
+  return CellView{
+      .delta_agg = std::span<const float>(shard.deltas.data() + slot * dim_,
+                                          dim_),
+      .touched_agg = shard.touched[slot] != 0,
+      .self_changed = shard.self[slot] != 0,
+  };
 }
 
 Mailbox::EntryView Mailbox::entry(VertexId v) {
@@ -101,19 +132,37 @@ std::vector<std::size_t> Mailbox::shard_sizes() const {
   return sizes;
 }
 
-std::vector<VertexId> Mailbox::sorted_vertices() const {
-  std::vector<VertexId> order;
-  order.reserve(size());
-  for (const Shard& shard : shards_) {
-    order.insert(order.end(), shard.vertices.begin(), shard.vertices.end());
+void Mailbox::sorted_vertices(std::vector<VertexId>& out) const {
+  out.clear();
+  const std::size_t total = size();
+  out.reserve(total);
+  const std::size_t words = shards_[0].present.size();
+  // Stops at the last cell instead of scanning the rest of the range.
+  for (std::size_t w = 0; w < words && out.size() < total; ++w) {
+    std::uint64_t bits = 0;
+    for (const Shard& shard : shards_) bits |= shard.present[w];
+    emit_set_bits(bits, w, [&](VertexId v) { out.push_back(v); });
   }
-  std::sort(order.begin(), order.end());
-  return order;
+}
+
+void Mailbox::sorted_slots(std::size_t s,
+                           std::vector<std::uint32_t>& out) const {
+  const Shard& shard = shards_[s];
+  out.clear();
+  out.reserve(shard.size());
+  for (std::size_t w = 0; w < shard.present.size() && out.size() < shard.size();
+       ++w) {
+    emit_set_bits(shard.present[w], w,
+                  [&](VertexId v) { out.push_back(slots_[v]); });
+  }
 }
 
 void Mailbox::clear() {
   for (Shard& shard : shards_) {
-    shard.index.clear();
+    for (const VertexId v : shard.vertices) {
+      slots_[v] = kNoSlot;
+      shard.present[word_of(v)] = 0;
+    }
     shard.vertices.clear();
     shard.deltas.clear();
     shard.touched.clear();
@@ -123,19 +172,13 @@ void Mailbox::clear() {
 
 std::size_t Mailbox::bytes() const {
   std::size_t total = sizeof(Shard) * shards_.size();
+  total += slots_.capacity() * sizeof(std::uint32_t);
   for (const Shard& shard : shards_) {
-    // Dense slot-major buffers (capacity, not size: the memory is resident).
+    // Capacity, not size: the memory is resident.
+    total += shard.present.capacity() * sizeof(std::uint64_t);
     total += shard.vertices.capacity() * sizeof(VertexId);
     total += shard.deltas.capacity() * sizeof(float);
     total += shard.touched.capacity() + shard.self.capacity();
-    // unordered_map overhead: one heap node per element (key/value pair plus
-    // the next pointer and cached hash libstdc++ stores per node) and the
-    // bucket pointer array.
-    constexpr std::size_t kNodeBytes =
-        sizeof(std::pair<const VertexId, std::uint32_t>) +
-        2 * sizeof(void*);
-    total += shard.index.size() * kNodeBytes;
-    total += shard.index.bucket_count() * sizeof(void*);
   }
   return total;
 }

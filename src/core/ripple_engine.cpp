@@ -35,9 +35,11 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   for (std::size_t l = 0; l < num_layers; ++l) {
     const std::size_t dim = model_.config().layer_in_dim(l);
     agg_cache_.emplace_back(graph_.num_vertices(), dim);
-    mailboxes_.emplace_back(dim, num_shards_);
+    mailboxes_.emplace_back(dim, graph_.num_vertices(), num_shards_);
   }
   scratch_.resize(num_shards_);
+  block_costs_.resize(num_shards_);
+  drain_costs_.resize(num_shards_);
   msg_buckets_.resize(num_shards_ * num_shards_);
   self_buckets_.resize(num_shards_ * num_shards_);
   bootstrap(features);
@@ -99,16 +101,14 @@ void RippleEngine::update(UpdateBatch batch) {
       [this](const GraphUpdate& update) { apply_feature_update(update); });
 }
 
-std::uint64_t RippleEngine::apply_one_shard(std::size_t l, std::size_t s,
-                                            const std::vector<VertexId>& order) {
-  Mailbox& mailbox = mailboxes_[l - 1];
+std::uint64_t RippleEngine::apply_one_shard(std::size_t l, std::size_t s) {
+  const Mailbox& mailbox = mailboxes_[l - 1];
   const bool is_last = l == model_.num_layers();
 
-  const Mailbox::Shard& shard = mailbox.shard(s);
-  if (shard.size() == 0) return 0;
+  if (mailbox.shard(s).size() == 0) return 0;
   // Record Δh at each vertex's canonical rank for the compute phase; the
   // pruning ablation layers its send-flag decision on top.
-  const RankDeltaSink delta_sink(order, delta_block_);
+  const RankDeltaSink delta_sink(order_, delta_block_);
   const auto sink = [&](VertexId v, std::span<const float> new_row,
                         std::span<const float> old_row) {
     delta_sink(v, new_row, old_row);
@@ -121,14 +121,13 @@ std::uint64_t RippleEngine::apply_one_shard(std::size_t l, std::size_t s,
       send_flags_[rank] = linf > options_.prune_tolerance ? 1 : 0;
     }
   };
-  return apply_hop_shard(model_, l, graph_, shard, mailbox.dim(),
-                         agg_cache_[l - 1], store_.layer(l - 1),
-                         store_.layer(l), scratch_[s],
+  return apply_hop_shard(model_, l, graph_, mailbox, s, agg_cache_[l - 1],
+                         store_.layer(l - 1), store_.layer(l), scratch_[s],
                          is_last ? nullptr : &sink, scheduler_.get());
 }
 
-std::uint64_t RippleEngine::bucket_sender_block(
-    std::size_t l, std::size_t b, const std::vector<VertexId>& order) {
+std::uint64_t RippleEngine::bucket_sender_block(std::size_t l,
+                                                std::size_t b) {
   const Mailbox& next = mailboxes_[l];
   const bool uses_self = model_.layer(l).uses_self();
   const std::size_t num_blocks = num_shards_;
@@ -136,11 +135,11 @@ std::uint64_t RippleEngine::bucket_sender_block(
   // Each block is a contiguous rank range of the canonical sender list; the
   // buckets it fills are appended in ascending-rank order, so draining
   // blocks in index order reconstructs the global ascending-sender order.
-  const std::size_t rank_lo = b * order.size() / num_blocks;
-  const std::size_t rank_hi = (b + 1) * order.size() / num_blocks;
+  const std::size_t rank_lo = b * order_.size() / num_blocks;
+  const std::size_t rank_hi = (b + 1) * order_.size() / num_blocks;
   for (std::size_t r = rank_lo; r < rank_hi; ++r) {
     if (!send_flags_[r]) continue;
-    const VertexId v = order[r];
+    const VertexId v = order_[r];
     for (const Neighbor& nb : graph_.out_neighbors(v)) {
       const std::size_t t = next.shard_of(nb.vertex);
       msg_buckets_[b * num_shards_ + t].push_back(
@@ -187,15 +186,16 @@ BatchResult RippleEngine::propagate() {
     const bool is_last = l == num_layers;
 
     // Canonical sender enumeration: the affected set in ascending id order.
-    // The last hop emits no messages, so it skips the sort entirely.
-    const std::vector<VertexId> order =
-        is_last ? std::vector<VertexId>{} : mailbox.sorted_vertices();
-    if (!is_last) {
+    // The last hop emits no messages, so it skips the enumeration.
+    if (is_last) {
+      order_.clear();
+    } else {
+      mailbox.sorted_vertices(order_);
       // no_fill: the apply phase's RankDeltaSink writes every row (each
       // mailbox vertex drains exactly once) before the scatter reads any.
-      delta_block_.resize_no_fill(order.size(),
+      delta_block_.resize_no_fill(order_.size(),
                                   model_.config().layer_out_dim(l - 1));
-      send_flags_.assign(order.size(), 1);
+      send_flags_.assign(order_.size(), 1);
     }
 
     // ---- apply phase: shard-parallel drain + blocked Update GEMMs ----
@@ -205,7 +205,7 @@ BatchResult RippleEngine::propagate() {
     StopWatch apply_watch;
     std::atomic<std::uint64_t> apply_ops{0};
     scheduler_->run(num_shards_, mailbox.shard_sizes(), [&](std::size_t s) {
-      apply_ops.fetch_add(apply_one_shard(l, s, order),
+      apply_ops.fetch_add(apply_one_shard(l, s),
                           std::memory_order_relaxed);
     });
     incremental_ops_ += apply_ops.load(std::memory_order_relaxed);
@@ -216,25 +216,24 @@ BatchResult RippleEngine::propagate() {
       StopWatch scatter_watch;
       std::atomic<std::uint64_t> messages{0};
       // Stage 1: one task per sender block, costed by its sender count.
-      std::vector<std::size_t> block_costs(num_shards_);
       for (std::size_t b = 0; b < num_shards_; ++b) {
-        block_costs[b] = (b + 1) * order.size() / num_shards_ -
-                         b * order.size() / num_shards_;
+        block_costs_[b] = (b + 1) * order_.size() / num_shards_ -
+                          b * order_.size() / num_shards_;
       }
-      scheduler_->run(num_shards_, block_costs, [&](std::size_t b) {
-        messages.fetch_add(bucket_sender_block(l, b, order),
+      scheduler_->run(num_shards_, block_costs_, [&](std::size_t b) {
+        messages.fetch_add(bucket_sender_block(l, b),
                            std::memory_order_relaxed);
       });
       // Stage 2: one task per target shard, costed by its pending messages
       // (known exactly now that stage 1 filled the buckets).
-      std::vector<std::size_t> drain_costs(num_shards_, 0);
       for (std::size_t t = 0; t < num_shards_; ++t) {
+        drain_costs_[t] = 0;
         for (std::size_t b = 0; b < num_shards_; ++b) {
-          drain_costs[t] += msg_buckets_[b * num_shards_ + t].size() +
-                            self_buckets_[b * num_shards_ + t].size();
+          drain_costs_[t] += msg_buckets_[b * num_shards_ + t].size() +
+                             self_buckets_[b * num_shards_ + t].size();
         }
       }
-      scheduler_->run(num_shards_, drain_costs,
+      scheduler_->run(num_shards_, drain_costs_,
                       [&](std::size_t t) { drain_target_shard(l, t); });
       incremental_ops_ += messages.load(std::memory_order_relaxed);
       result.compute_phase_sec += scatter_watch.elapsed_sec();

@@ -13,11 +13,14 @@
 //
 // Shard-parallel propagation core
 // -------------------------------
-// Each hop's mailbox is sharded by vertex hash (core/mailbox.h), and each
-// hop runs as two phases on the engine's work-stealing scheduler: one task
-// per shard / sender block, LPT-seeded by pending-slot counts and stolen on
-// imbalance (common/scheduler.h). Without a pool the same tasks run inline
-// on the calling thread.
+// Each hop's mailbox is sharded by vertex hash and indexed densely by
+// vertex id (core/mailbox.h): a cell lookup is one array load, and the
+// hop's ascending sender order and each shard's ascending drain order are
+// scans of presence bitmaps, not sorts. Each hop runs as two phases on the
+// engine's work-stealing scheduler: one task per shard / sender block,
+// LPT-seeded by pending-slot counts and stolen on imbalance
+// (common/scheduler.h). Without a pool the same tasks run inline on the
+// calling thread.
 //
 //  * Apply phase — shard-parallel. Each worker drains whole shards: it
 //    folds the shard's accumulated Δagg into the aggregate cache, gathers
@@ -117,15 +120,12 @@ class RippleEngine : public InferenceEngine {
                           bool is_add);
   void apply_feature_update(const GraphUpdate& update);
   // Apply-phase task: drain shard s of hop l; returns its incremental-op
-  // count. `order` is the canonical (sorted) affected set; delta rows are
-  // written at each vertex's rank in it.
-  std::uint64_t apply_one_shard(std::size_t l, std::size_t s,
-                                const std::vector<VertexId>& order);
+  // count. Delta rows are written at each vertex's rank in order_.
+  std::uint64_t apply_one_shard(std::size_t l, std::size_t s);
   // Compute-phase stage-1 task of hop l: scan sender block b (a contiguous
-  // rank range of `order`) and bucket its messages per (block, target
+  // rank range of order_) and bucket its messages per (block, target
   // shard); returns the block's message count.
-  std::uint64_t bucket_sender_block(std::size_t l, std::size_t b,
-                                    const std::vector<VertexId>& order);
+  std::uint64_t bucket_sender_block(std::size_t l, std::size_t b);
   // Compute-phase stage-2 task of hop l: drain target shard t of the
   // hop-(l+1) mailbox in block order.
   void drain_target_shard(std::size_t l, std::size_t t);
@@ -142,11 +142,14 @@ class RippleEngine : public InferenceEngine {
   RippleOptions options_;
   std::size_t num_shards_ = 1;
   std::uint64_t incremental_ops_ = 0;
-  // Per-shard gather/compute blocks reused across hops (each shard's apply
-  // task owns exactly one scratch set, so parallel workers never share).
+  // Per-hop buffers reused across hops and batches. Each shard's apply
+  // task owns exactly one scratch set, so parallel workers never share.
   std::vector<HopShardScratch> scratch_;  // one per shard
-  Matrix delta_block_;                    // rank-major Δh rows for one hop
+  std::vector<VertexId> order_;  // canonical senders: hop's cells, ascending
+  Matrix delta_block_;           // rank-major Δh rows for one hop
   std::vector<std::uint8_t> send_flags_;  // rank-major (pruning ablation)
+  std::vector<std::size_t> block_costs_;  // stage-1 task costs, per block
+  std::vector<std::size_t> drain_costs_;  // stage-2 task costs, per shard
 
   // Compute-phase message buckets, flat-indexed [block * num_shards_ +
   // target_shard]; cleared (capacity retained) every hop.

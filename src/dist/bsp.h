@@ -107,9 +107,9 @@ double timed_over_part_tasks(WorkStealingScheduler& scheduler,
 }
 
 // Serial mini-phase helper: the engines time a per-partition serial loop
-// (sender sorts, exchange destination scans) partition-by-partition and
-// bill the max endpoint when modeling, or the loop's real wall clock when
-// measuring. `per_part` receives each partition's measured seconds.
+// (sender enumeration, exchange destination scans) partition by partition
+// and bill the max endpoint when modeling, or the loop's real wall clock
+// when measuring. `per_part` receives each partition's measured seconds.
 // wait_out: same modeled barrier-stall accumulator as timed_over_part_tasks.
 inline double serial_phase_cost(const std::vector<double>& per_part,
                                 double wall_sec, BspTiming timing,

@@ -61,7 +61,8 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
     st.boxes.reserve(num_layers);
     for (std::size_t l = 0; l < num_layers; ++l) {
       st.agg_cache.emplace_back(rows, config.layer_in_dim(l));
-      st.boxes.emplace_back(config.layer_in_dim(l), kShardsPerPart);
+      st.boxes.emplace_back(config.layer_in_dim(l), graph_.num_vertices(),
+                            kShardsPerPart);
     }
     st.halo = HaloCache(halo_widths);
     const std::vector<VertexId>& owned = row_map_.owned(p);
@@ -96,6 +97,13 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
     detectors_.emplace_back(p, num_parts);
   }
   async_.resize(num_parts);
+  if (mode_ == ExecMode::kAsync) {
+    wave_boxes_.reserve(num_layers);
+    for (std::size_t l = 0; l < num_layers; ++l) {
+      wave_boxes_.emplace_back(config.layer_in_dim(l), graph_.num_vertices(),
+                               kShardsPerPart);
+    }
+  }
 }
 
 float DistRippleEngine::edge_alpha(EdgeWeight weight) const {
@@ -437,19 +445,18 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     // W-worker makespan bound.
     const auto drain_shard = [&](std::size_t p, std::size_t s) {
       RankState& st = states_[p];
-      Mailbox& box = st.boxes[l - 1];
-      const Mailbox::Shard& shard = box.shard(s);
-      if (shard.size() == 0) return;
+      const Mailbox& box = st.boxes[l - 1];
+      if (box.shard(s).size() == 0) return;
       const RankDeltaSink sink(senders_[p], delta_[p]);
-      apply_hop_shard(model_, l, graph_, shard, box.dim(),
-                      st.agg_cache[l - 1], st.store.layer(l - 1),
-                      st.store.layer(l), scratch_[p * kShardsPerPart + s],
+      apply_hop_shard(model_, l, graph_, box, s, st.agg_cache[l - 1],
+                      st.store.layer(l - 1), st.store.layer(l),
+                      scratch_[p * kShardsPerPart + s],
                       is_last ? nullptr : &sink, nullptr,
                       row_map_.local_rows());
     };
-    // Per-partition prologue (sender sort + delta sizing): its own
-    // max-endpoint mini-phase, every machine sorting its own senders. The
-    // last hop emits no messages, so it skips the sort and the deltas.
+    // Per-partition prologue (sender enumeration + delta sizing): its own
+    // max-endpoint mini-phase, every machine enumerating its own senders.
+    // The last hop emits no messages, so it skips the senders and deltas.
     const StopWatch prologue_watch;
     std::vector<double> prologue_sec(num_parts, 0.0);
     for (std::size_t p = 0; p < num_parts; ++p) {
@@ -458,9 +465,10 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
         continue;
       }
       StopWatch watch;
-      Mailbox& box = mailbox(p, l);
-      senders_[p] = is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-      if (!is_last) {
+      if (is_last) {
+        senders_[p].clear();
+      } else {
+        mailbox(p, l).sorted_vertices(senders_[p]);
         // no_fill: the shard drains' RankDeltaSink writes every row before
         // the exchange reads any.
         delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
@@ -748,37 +756,31 @@ void DistRippleEngine::process_remote_row(std::size_t q,
 void DistRippleEngine::build_wave_box(std::size_t q, std::size_t l,
                                       const std::vector<VertexId>& wave) {
   AsyncPartState& as = async_[q];
-  const std::size_t in_dim = model_.config().layer_in_dim(l - 1);
   const bool is_last = l == model_.num_layers();
   const bool self_dep = l >= 2 && model_.layer(l - 1).uses_self();
-  wave_box_ = Mailbox(in_dim, kShardsPerPart);
+  Mailbox& box = wave_boxes_[l - 1];
+  box.clear();
   const Mailbox& seeds = mailbox(q, l);
   for (const VertexId v : wave) {
     // Reproduce the BSP cell bit-for-bit: superstep-U seed bits first (a
     // bit COPY — adding them to a zero cell could flip a negative zero),
     // then every contributor's Δ in ascending global sender order.
-    const Mailbox::Shard& sh = seeds.shard(seeds.shard_of(v));
-    if (auto it = sh.index.find(v); it != sh.index.end()) {
-      const std::uint32_t slot = it->second;
-      wave_box_.adopt(
-          v,
-          std::span<const float>(sh.deltas.data() + slot * in_dim, in_dim),
-          sh.touched[slot] != 0, sh.self[slot] != 0);
+    if (const auto seed = seeds.find(v)) {
+      box.adopt(v, seed->delta_agg, seed->touched_agg, seed->self_changed);
     }
     if (l >= 2) {
       if (auto it = contrib_[l].find(v); it != contrib_[l].end()) {
         for (const auto& [u, alpha] : it->second) {
-          wave_box_.accumulate(v, alpha,
-                               std::span<const float>(as.delta[l - 1].at(u)),
-                               {});
+          box.accumulate(v, alpha,
+                         std::span<const float>(as.delta[l - 1].at(u)), {});
         }
       }
       if (self_dep && frontier_[l - 1].count(v) != 0) {
-        wave_box_.mark_self_changed(v);
+        box.mark_self_changed(v);
       }
     }
   }
-  wave_senders_ = wave_box_.sorted_vertices();
+  box.sorted_vertices(wave_senders_);
   if (!is_last) {
     // no_fill: the shard drains' RankDeltaSink writes every row before
     // finish_wave reads any.
@@ -790,13 +792,13 @@ void DistRippleEngine::build_wave_box(std::size_t q, std::size_t l,
 void DistRippleEngine::drain_wave_shard(std::size_t q, std::size_t l,
                                         std::size_t s) {
   RankState& st = states_[q];
-  const Mailbox::Shard& shard = wave_box_.shard(s);
-  if (shard.size() == 0) return;
+  const Mailbox& box = wave_boxes_[l - 1];
+  if (box.shard(s).size() == 0) return;
   const bool is_last = l == model_.num_layers();
   const RankDeltaSink sink(wave_senders_, wave_delta_);
-  apply_hop_shard(model_, l, graph_, shard, wave_box_.dim(),
-                  st.agg_cache[l - 1], st.store.layer(l - 1),
-                  st.store.layer(l), scratch_[q * kShardsPerPart + s],
+  apply_hop_shard(model_, l, graph_, box, s, st.agg_cache[l - 1],
+                  st.store.layer(l - 1), st.store.layer(l),
+                  scratch_[q * kShardsPerPart + s],
                   is_last ? nullptr : &sink, nullptr,
                   row_map_.local_rows());
 }
@@ -876,7 +878,7 @@ bool DistRippleEngine::rank_step(std::size_t q) {
           if (l > num_layers) return 0;
           cur_hop = l;
           build_wave_box(q, l, as.cells.take_ready(l));
-          return wave_box_.num_shards();
+          return kShardsPerPart;
         },
         [&](std::size_t s) { drain_wave_shard(q, cur_hop, s); });
 
@@ -1117,8 +1119,10 @@ std::size_t DistRippleEngine::memory_bytes() const {
   // the DistEngineBase contract) plus the shared row map. The replicated
   // topology is deliberately excluded — see src/dist/README.md. Mailboxes
   // are counted whole: each partition's boxes only ever hold cells for
-  // vertices it owns (seeding guards on ownership), so no shard is
-  // partially owned and summing Mailbox::bytes() cannot double-count.
+  // vertices it owns (seeding guards on ownership), so summing
+  // Mailbox::bytes() cannot double-count; their dense index spans the whole
+  // vertex range, at 4.5 bytes per vertex and hop with 4 shards. The async
+  // wave boxes are shared by every hosted partition and count once.
   std::size_t worst = 0;
   for (std::size_t p = 0; p < states_.size(); ++p) {
     if (!transport_->hosts(p)) continue;
@@ -1128,7 +1132,9 @@ std::size_t DistRippleEngine::memory_bytes() const {
     for (const Mailbox& box : st.boxes) bytes += box.bytes();
     worst = std::max(worst, bytes);
   }
-  return worst + row_map_.bytes();
+  std::size_t wave_bytes = 0;
+  for (const Mailbox& box : wave_boxes_) wave_bytes += box.bytes();
+  return worst + wave_bytes + row_map_.bytes();
 }
 
 }  // namespace ripple

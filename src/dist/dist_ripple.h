@@ -248,9 +248,11 @@ class DistRippleEngine : public DistEngineBase {
   std::vector<std::unordered_set<VertexId>> frontier_;
   std::vector<std::unordered_map<
       VertexId, std::vector<std::pair<VertexId, float>>>> contrib_;
-  // Current wave's apply box + sender order + Δ rows (one wave in flight
-  // per rank-step; rank-steps are serial per hosted partition).
-  Mailbox wave_box_{1};
+  // Wave apply boxes, one per hop because the row width differs by hop
+  // ([l-1]: hop l; built for async mode only, cleared per wave), plus the
+  // current wave's sender order and Δ rows (one wave in flight per
+  // rank-step; rank-steps are serial per hosted partition).
+  std::vector<Mailbox> wave_boxes_;
   std::vector<VertexId> wave_senders_;
   Matrix wave_delta_;
   std::vector<Transport::AsyncFrame> frames_;  // poll_async scratch
